@@ -1,6 +1,6 @@
 // A6 — lazy-DFA matching engine vs the NFA reference, frozen shared
-// automata vs the lazy DFA, and value-dictionary detection vs per-row
-// detection.
+// automata vs the lazy DFA, and value-dictionary detection vs the
+// row-at-a-time reference detector.
 //
 // The NFA simulation (nfa.cc) allocates/sorts/epsilon-closes a state set per
 // input character; the lazy DFA (dfa.h) compresses the byte alphabet into
@@ -11,13 +11,15 @@
 // (automaton_cache.h) compiles each distinct pattern exactly once, so
 // repeated detect/repair runs amortize all compilation. The column value
 // dictionary (relation.h) lets detection match each *distinct* value once
-// instead of once per row.
+// instead of once per row, as the row-at-a-time reference
+// (tests/detect_reference.h) does.
 //
 // Content: match throughput (values/sec) for NFA vs lazy DFA vs frozen DFA
 // on the synthetic code/phone/zip generators (DFA expected >= 5x NFA,
 // frozen expected >= lazy), matcher-compilation amortization with a shared
-// cache, wall-clock detection on a duplicate-heavy column with dictionaries
-// on vs off, and repeated detection with a shared automaton cache.
+// cache, wall-clock detection on a duplicate-heavy column through the
+// dictionary kernel vs the row-at-a-time reference, and repeated detection
+// with a shared automaton cache.
 // Performance: the same comparisons as google-benchmark timings (JSON via
 // --benchmark_out=FILE --benchmark_out_format=json; tools/bench.sh writes
 // BENCH_A6.json). ANMAT_BENCH_QUICK=1 shrinks workloads (CI smoke).
@@ -33,6 +35,7 @@
 #include "bench_util.h"
 #include "datagen/datasets.h"
 #include "detect/detector.h"
+#include "detect_reference.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
 #include "pattern/frozen_dfa.h"
@@ -228,32 +231,30 @@ void ReproduceContent() {
                "cached matcher construction amortizes compilation");
   }
 
-  // ---- detection on a duplicate-heavy column, dictionary on vs off ----
+  // ---- detection on a duplicate-heavy column: dictionary kernel vs the
+  // row-at-a-time reference ----
   const anmat::Relation rel =
       DuplicateHeavyRelation(Sized(200000, 20000), 1000, 71);
   const anmat::Pfd pfd = ZipVariablePfd();
-  anmat::DetectorOptions dict_on;
-  dict_on.use_value_dictionary = true;
-  anmat::DetectorOptions dict_off = dict_on;
-  dict_off.use_value_dictionary = false;
 
   auto start = std::chrono::steady_clock::now();
-  const auto on = anmat::DetectErrors(rel, pfd, dict_on).value();
+  const auto on = anmat::DetectErrors(rel, pfd).value();
   const double on_secs = SecondsSince(start);
   start = std::chrono::steady_clock::now();
-  const auto off = anmat::DetectErrors(rel, pfd, dict_off).value();
+  const auto off = anmat::reference::DetectRowAtATime(rel, {pfd}).value();
   const double off_secs = SecondsSince(start);
 
   anmat::TextTable dtable({"mode", "violations", "seconds", "rows/s"});
-  dtable.AddRow({"dictionary on", std::to_string(on.violations.size()),
+  dtable.AddRow({"dictionary kernel", std::to_string(on.violations.size()),
                  std::to_string(on_secs),
                  std::to_string(size_t(rel.num_rows() / on_secs))});
-  dtable.AddRow({"dictionary off", std::to_string(off.violations.size()),
+  dtable.AddRow({"row-at-a-time", std::to_string(off.violations.size()),
                  std::to_string(off_secs),
                  std::to_string(size_t(rel.num_rows() / off_secs))});
   std::cout << dtable.Render();
   CheckOrDie(on.violations.size() == off.violations.size(),
-             "dictionary on/off find the same violations");
+             "dictionary kernel and row-at-a-time reference find the same "
+             "violations");
   CheckOrDie(!on.violations.empty(), "the workload produced violations");
   CheckOrDie(on_secs < off_secs,
              "dictionary detection is faster on a duplicate-heavy column");
@@ -261,8 +262,8 @@ void ReproduceContent() {
 
   // ---- repeated detection with a shared automaton cache ----
   // The repair fixpoint loop and every engine stage re-detect over the
-  // same rules; with the engine-wide cache they stop recompiling automata
-  // and (serially) stop re-resolving tableau rows.
+  // same rules; with the engine-wide cache they stop recompiling automata.
+  // Without one, every run compiles into a private cache of its own.
   {
     const size_t kRuns = 5;
     anmat::DetectorOptions uncached;
@@ -285,9 +286,9 @@ void ReproduceContent() {
     const double cached_secs = SecondsSince(start);
 
     CheckOrDie(cached_violations == uncached_violations,
-               "cached and uncached detection find the same violations");
+               "shared and per-run caches find the same violations");
     std::cout << "repeated detection (" << kRuns
-              << " runs): uncached " << uncached_secs << "s, cached "
+              << " runs): per-run cache " << uncached_secs << "s, shared "
               << cached_secs << "s, speedup "
               << uncached_secs / cached_secs << "x, cache "
               << cached.automata->misses() << " compiles / "
@@ -374,12 +375,13 @@ void RunDetectBench(benchmark::State& state, bool use_dictionary,
       static_cast<size_t>(state.range(0)), 1000, 72);
   const anmat::Pfd pfd = ZipVariablePfd();
   anmat::DetectorOptions opts;
-  opts.use_value_dictionary = use_dictionary;
   if (use_automaton_cache) {
     opts.automata = std::make_shared<anmat::AutomatonCache>();
   }
   for (auto _ : state) {
-    auto result = anmat::DetectErrors(rel, pfd, opts);
+    auto result = use_dictionary
+                      ? anmat::DetectErrors(rel, pfd, opts)
+                      : anmat::reference::DetectRowAtATime(rel, {pfd}, opts);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -10,7 +10,8 @@
 // then read exact 0/1 verdict vectors instead of walking R automata.
 //
 // Content: detection wall-clock at 16 / 64 / 256 / 1024 constant rules on
-// one column, per-pattern (use_multi_dispatch = false) vs dispatch, with
+// one column, per-pattern (an `AutomatonCache(2)` freeze cap: no union
+// freezes, so every rule walks its own lazy automaton) vs dispatch, with
 // violations asserted byte-identical at every size; dispatch must win at
 // >= 256 rules (full mode). A repeated-run pass proves the union automata
 // compile once per engine lifetime (cache misses stay flat, further runs
@@ -107,11 +108,13 @@ std::string Fingerprint(const std::vector<Violation>& violations) {
   return s;
 }
 
+/// Dispatch runs with a default cache. The per-pattern baseline caps the
+/// cache at two frozen states, so no union (nor single pattern) freezes and
+/// every column falls back to one lazy automaton walk per rule.
 DetectorOptions OptionsFor(bool dispatch) {
   DetectorOptions options;
-  options.use_value_dictionary = true;
-  options.use_multi_dispatch = dispatch;
-  options.automata = std::make_shared<AutomatonCache>();
+  options.automata = dispatch ? std::make_shared<AutomatonCache>()
+                              : std::make_shared<AutomatonCache>(2);
   return options;
 }
 

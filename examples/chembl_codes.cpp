@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
 
   // Persist the discovered rules and reload them — the demo's MongoDB
   // round-trip, substituted by the JSON rule store.
-  std::vector<anmat::Pfd> rules;
+  anmat::RuleSet rules;
   for (const anmat::DiscoveredPfd& d : session.discovered()) {
-    rules.push_back(d.pfd);
+    rules.Add(d.pfd, {}, anmat::RuleStatus::kConfirmed);
   }
   const std::string store_path = "/tmp/anmat_chembl_rules.json";
   anmat::RuleStore store(store_path);

@@ -89,7 +89,11 @@ int main() {
   // --- Persist, reload, detect, repair -------------------------------------
   const std::string store_path = "/tmp/anmat_authored_rules.json";
   anmat::RuleStore store(store_path);
-  if (auto s = store.Save({lambda2, lambda3, lambda4, lambda5}); !s.ok()) {
+  anmat::RuleSet authored;
+  for (const anmat::Pfd& p : {lambda2, lambda3, lambda4, lambda5}) {
+    authored.Add(p, {}, anmat::RuleStatus::kConfirmed);
+  }
+  if (auto s = store.Save(authored); !s.ok()) {
     std::cerr << s << "\n";
     return 2;
   }

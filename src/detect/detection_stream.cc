@@ -12,108 +12,55 @@
 
 namespace anmat {
 
-using detect_internal::CellScan;
+using detect_internal::AppendKeyFragment;
+using detect_internal::CellMemo;
 using detect_internal::ResolvedRow;
-using detect_internal::SeedCell;
-using detect_internal::SortViolations;
 
 namespace {
 
 /// Batch cells resolved against a column's incremental stream dictionary:
 /// ids >= 0 are stream dictionary ids (the cross-batch memos apply), ids
-/// < 0 are batch-local new-value ids encoded as -(id + 1), with the new
-/// distinct values listed in first-occurrence order.
+/// < 0 are batch-local ids, -(id + 1), of the distinct values the stream
+/// has not absorbed yet, numbered in first-occurrence order.
 struct ColumnIds {
   bool resolved = false;
   std::vector<int64_t> ids;
-  /// Distinct values the stream has not absorbed yet (views into the
-  /// batch's arena-backed cells, stable while the batch lives).
-  std::vector<std::string_view> new_values;
 };
-
-/// A record-key fragment in RecordKey's exact byte format (the canonical
-/// extraction's parts '\x1f'-joined, '\x1e'-terminated); false when the
-/// value has no canonical extraction.
-bool ComputeKeyFragment(const ConstrainedMatcher& matcher,
-                        std::string_view value, std::string* frag) {
-  Extraction extraction;
-  if (!matcher.ExtractCanonical(value, &extraction)) return false;
-  for (const std::string& part : extraction) {
-    frag->append(part);
-    frag->push_back('\x1f');
-  }
-  frag->push_back('\x1e');
-  return true;
-}
 
 /// Batch-side LHS evaluation of one resolved tableau row: per-row match
 /// verdicts and grouping keys, each memoized per *distinct* value — through
-/// the stream's persistent CellScan memos for values the stream already
-/// absorbed, batch-locally for new ones. This is what keeps clean-on-ingest
-/// at O(new distinct values) automaton work, with zero batch-local
-/// detection.
+/// the stream's persistent cell memos for values the stream already
+/// absorbed, through batch-local memos for new ones. This is what keeps
+/// clean-on-ingest at O(new distinct values) automaton work, with zero
+/// batch-local detection.
 class BatchLhsScan {
  public:
   BatchLhsScan(const Relation& batch, const ResolvedRow& row,
-               std::vector<CellScan>& scans,
+               std::vector<CellMemo>& memos,
                std::vector<const ColumnIds*> cell_ids)
       : batch_(batch),
         row_(row),
-        scans_(scans),
-        cell_ids_(std::move(cell_ids)) {
-    new_match_.resize(cell_ids_.size());
-    new_frag_state_.resize(cell_ids_.size());
-    new_frag_.resize(cell_ids_.size());
-    for (size_t i = 0; i < cell_ids_.size(); ++i) {
-      if (cell_ids_[i] == nullptr) continue;
-      new_match_[i].assign(cell_ids_[i]->new_values.size(), -1);
-      new_frag_state_[i].assign(cell_ids_[i]->new_values.size(), -1);
-      new_frag_[i].resize(cell_ids_[i]->new_values.size());
-    }
-  }
+        memos_(memos),
+        cell_ids_(std::move(cell_ids)),
+        new_memos_(cell_ids_.size()) {}
 
-  /// True if batch row `r` matches every non-wildcard LHS cell (the exact
+  /// True if batch row `r` matches every pattern LHS cell (the exact
   /// candidacy test detection uses).
   bool Matches(RowId r) {
     for (size_t i = 0; i < row_.lhs_cols.size(); ++i) {
       const ConstrainedMatcher* matcher = row_.lhs_matchers[i].get();
       if (matcher == nullptr) continue;
-      const int64_t id = cell_ids_[i]->ids[r];
-      bool ok;
-      if (id >= 0) {
-        CellScan& scan = scans_[i];
-        if (scan.preset_match != nullptr &&
-            static_cast<size_t>(id) < scan.preset_match->size()) {
-          // Already-absorbed values are classified by the column's
-          // multi-pattern dispatcher (the watermark equals the dictionary
-          // size at the last append, and stream ids always precede it).
-          ok = (*scan.preset_match)[id] != 0;
-        } else {
-          if (scan.match.size() <= static_cast<size_t>(id)) {
-            scan.match.resize(scan.dict->num_values(), -1);
-          }
-          if (scan.match[id] < 0) {
-            scan.match[id] =
-                matcher->Matches(batch_.cell(r, row_.lhs_cols[i])) ? 1 : 0;
-          }
-          ok = scan.match[id] != 0;
-        }
-      } else {
-        int8_t& verdict = new_match_[i][-id - 1];
-        if (verdict < 0) {
-          verdict = matcher->Matches(cell_ids_[i]->new_values[-id - 1])
-                        ? 1
-                        : 0;
-        }
-        ok = verdict != 0;
+      const auto [memo, id] = MemoOf(i, r);
+      if (!memo->Matches(*matcher, id,
+                         [&] { return batch_.cell(r, row_.lhs_cols[i]); })) {
+        return false;
       }
-      if (!ok) return false;
     }
     return true;
   }
 
-  /// Builds batch row `r`'s grouping key (byte-identical to RecordKey, so
-  /// it addresses the stream's cumulative `RowState::groups` directly);
+  /// Builds batch row `r`'s grouping key (byte-identical to the kernel's
+  /// record key, so it addresses the stream's cumulative groups directly);
   /// false when some pattern cell has no canonical extraction.
   bool Key(RowId r, std::string* key) {
     key->clear();
@@ -121,48 +68,32 @@ class BatchLhsScan {
       const ConstrainedMatcher* matcher = row_.lhs_matchers[i].get();
       const std::string_view cell = batch_.cell(r, row_.lhs_cols[i]);
       if (matcher == nullptr) {
-        key->append(cell);
-        key->push_back('\x1f');
+        AppendKeyFragment(nullptr, cell, key);
         continue;
       }
-      const int64_t id = cell_ids_[i]->ids[r];
-      if (id >= 0) {
-        CellScan& scan = scans_[i];
-        if (scan.frag_state.size() <= static_cast<size_t>(id)) {
-          scan.frag_state.resize(scan.dict->num_values(), -1);
-          scan.frag.resize(scan.dict->num_values());
-        }
-        if (scan.frag_state[id] < 0) {
-          scan.frag_state[id] =
-              ComputeKeyFragment(*matcher, cell, &scan.frag[id]) ? 1 : 0;
-        }
-        if (scan.frag_state[id] == 0) return false;
-        key->append(scan.frag[id]);
-      } else {
-        int8_t& state = new_frag_state_[i][-id - 1];
-        std::string& frag = new_frag_[i][-id - 1];
-        if (state < 0) {
-          state = ComputeKeyFragment(
-                      *matcher, cell_ids_[i]->new_values[-id - 1], &frag)
-                      ? 1
-                      : 0;
-        }
-        if (state == 0) return false;
-        key->append(frag);
-      }
+      const auto [memo, id] = MemoOf(i, r);
+      const std::string* frag =
+          memo->Fragment(*matcher, id, [&] { return cell; });
+      if (frag == nullptr) return false;
+      key->append(*frag);
     }
     return true;
   }
 
  private:
+  /// Cell `i` of batch row `r`: the stream's persistent memo and id for an
+  /// absorbed value, the batch-local memo and id for a new one.
+  std::pair<CellMemo*, uint32_t> MemoOf(size_t i, RowId r) {
+    const int64_t id = cell_ids_[i]->ids[r];
+    if (id >= 0) return {&memos_[i], static_cast<uint32_t>(id)};
+    return {&new_memos_[i], static_cast<uint32_t>(-id - 1)};
+  }
+
   const Relation& batch_;
   const ResolvedRow& row_;
-  std::vector<CellScan>& scans_;
+  std::vector<CellMemo>& memos_;
   std::vector<const ColumnIds*> cell_ids_;
-  // Batch-local memos, indexed [cell][new-value id].
-  std::vector<std::vector<int8_t>> new_match_;
-  std::vector<std::vector<int8_t>> new_frag_state_;
-  std::vector<std::vector<std::string>> new_frag_;
+  std::vector<CellMemo> new_memos_;  ///< batch-local, by new-value id
 };
 
 }  // namespace
@@ -181,12 +112,6 @@ Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
         "DetectionStream does not support max_violations: the cap's "
         "\"first N found\" semantics contradict cumulative batch results");
   }
-  if (!options.use_value_dictionary) {
-    return Status::InvalidArgument(
-        "DetectionStream requires use_value_dictionary: its cross-batch "
-        "match/extraction memos are keyed by dictionary value id (that is "
-        "what makes a batch cost O(new distinct values) pattern work)");
-  }
   std::unique_ptr<DetectionStream> stream(
       new DetectionStream(schema, std::move(pfds), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
   ANMAT_RETURN_NOT_OK(stream->Init());
@@ -194,162 +119,28 @@ Result<std::unique_ptr<DetectionStream>> DetectionStream::Open(
 }
 
 Status DetectionStream::Init() {
-  const Schema& schema = relation_.schema();
-  dicts_.resize(schema.num_columns());
-  indexes_.resize(schema.num_columns());
-
-  for (size_t pi = 0; pi < pfds_.size(); ++pi) {
-    const Pfd& pfd = pfds_[pi];
-    ANMAT_RETURN_NOT_OK(pfd.Validate(schema));
-    std::vector<size_t> lhs_cols;
-    for (const std::string& a : pfd.lhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
-      lhs_cols.push_back(idx);
-    }
-    std::vector<size_t> rhs_cols;
-    for (const std::string& a : pfd.rhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(a));
-      rhs_cols.push_back(idx);
-    }
-
-    for (size_t ri = 0; ri < pfd.tableau().size(); ++ri) {
-      const TableauRow& trow = pfd.tableau().row(ri);
-      RowState state;
-      state.pfd_index = pi;
-      state.row_index = ri;
-      state.constant = trow.IsConstantRow();
-      state.variable = trow.IsVariableRow();
-      state.resolved = detect_internal::ResolveRow(
-          trow, lhs_cols, rhs_cols, pfd.lhs_attrs(), pfd.rhs_attrs(),
-          options_.automata.get());
-
-      // Preset every pattern cell's scan with the stream-owned incremental
-      // dictionary of its column; the memo tables grow with the dictionary
-      // and survive across batches.
-      state.scans.resize(lhs_cols.size());
-      for (size_t i = 0; i < lhs_cols.size(); ++i) {
-        if (state.resolved.lhs_matchers[i] == nullptr) continue;
-        const size_t col = lhs_cols[i];
-        if (dicts_[col] == nullptr) {
-          dicts_[col] = std::make_unique<ColumnDictionary>();
-        }
-        state.scans[i].dict = dicts_[col].get();
-        state.scans[i].col = col;
-      }
-
-      // An incremental index over each seed column narrows the per-batch
-      // candidate scan of constant rows to the new rows in its postings.
-      if (options_.use_pattern_index && (state.constant || state.variable)) {
-        const size_t seed = SeedCell(state.resolved);
-        if (seed < lhs_cols.size()) {
-          const size_t col = lhs_cols[seed];
-          if (indexes_[col] == nullptr) {
-            indexes_[col] = std::make_unique<PatternIndex>(
-                relation_, col, dicts_[col].get(), options_.automata.get());
-          }
-        }
-      }
-      rows_.push_back(std::move(state));
-    }
+  ANMAT_ASSIGN_OR_RETURN(plan_, detect_internal::DetectPlan::Build(
+                                    relation_.schema(), pfds_, options_));
+  states_ = plan_.NewStates();
+  rhs_caches_.resize(plan_.rows.size());
+  dicts_.resize(relation_.num_columns());
+  indexes_.resize(relation_.num_columns());
+  for (const size_t col : plan_.pattern_columns) {
+    dicts_[col] = std::make_unique<ColumnDictionary>();
   }
-
-  // Multi-pattern dispatch (src/dispatch/): group every column's pattern
-  // cells into union automata so each batch classifies a *new distinct
-  // value* against all of them in one combined scan per prefix group. The
-  // verdict vectors feed the cell memos through `CellScan::preset_match`;
-  // a column whose unions cannot freeze keeps the per-pattern lazy path.
-  if (options_.use_multi_dispatch && options_.automata != nullptr) {
-    dispatchers_.resize(schema.num_columns());
-    classified_values_.assign(schema.num_columns(), 0);
-    std::vector<std::vector<uint32_t>> slots(rows_.size());
-    for (size_t s = 0; s < rows_.size(); ++s) {
-      const ResolvedRow& row = rows_[s].resolved;
-      slots[s].assign(row.lhs_cols.size(), 0);
-      for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-        if (row.lhs_matchers[i] == nullptr) continue;
-        const size_t col = row.lhs_cols[i];
-        if (dispatchers_[col] == nullptr) {
-          dispatchers_[col] = std::make_unique<ColumnDispatcher>();
-        }
-        slots[s][i] = dispatchers_[col]->AddPattern(
-            row.row->lhs[i].pattern().EmbeddedPattern());
-      }
-    }
-    for (std::unique_ptr<ColumnDispatcher>& cd : dispatchers_) {
-      if (cd != nullptr && !cd->Compile(options_.automata.get())) {
-        cd.reset();  // unfreezable union: per-pattern fallback
-      }
-    }
-    for (size_t s = 0; s < rows_.size(); ++s) {
-      RowState& state = rows_[s];
-      for (size_t i = 0; i < state.resolved.lhs_cols.size(); ++i) {
-        if (state.resolved.lhs_matchers[i] == nullptr) continue;
-        const ColumnDispatcher* cd =
-            dispatchers_[state.resolved.lhs_cols[i]].get();
-        // Verdict-vector addresses are stable: the outer vector is fixed
-        // at Compile, only the inner vectors grow per batch. Uncovered
-        // slots (leading unbounded class repeat, or a union past the
-        // freeze budget) keep the lazy per-pattern memo.
-        if (cd != nullptr && cd->covers(slots[s][i])) {
-          state.scans[i].preset_match = cd->verdicts(slots[s][i]);
-        }
+  // An incremental index over each seed column narrows every batch's
+  // candidates to the posting tails of the new rows.
+  if (options_.use_pattern_index) {
+    for (const ResolvedRow& row : plan_.rows) {
+      if (!row.detects() || row.seed == row.lhs_cols.size()) continue;
+      const size_t col = row.lhs_cols[row.seed];
+      if (indexes_[col] == nullptr) {
+        indexes_[col] = std::make_unique<PatternIndex>(
+            relation_, col, dicts_[col].get(), plan_.automata.get());
       }
     }
   }
   return Status::OK();
-}
-
-void DetectionStream::AbsorbRows(RowState& state, RowId first_row,
-                                 RowId end_row) {
-  ResolvedRow& row = state.resolved;
-  const size_t seed = SeedCell(row);
-
-  // New-row candidates: the seed column's incremental index returns the
-  // posting tail (only rows >= first_row), which is sub-linear in the batch
-  // for selective patterns; without an index the batch is scanned directly.
-  // Either way `MatchesLhs` is the exact test, memoized per distinct value,
-  // so only newly seen values pay automaton work.
-  std::vector<RowId> seeded;
-  const PatternIndex* index =
-      seed < row.lhs_cols.size() ? indexes_[row.lhs_cols[seed]].get()
-                                 : nullptr;
-  if (index != nullptr) {
-    seeded = index->CandidateSuperset(
-        row.row->lhs[seed].pattern().EmbeddedPattern(), first_row);
-  }
-
-  const auto each_candidate = [&](const auto& fn) {
-    if (index != nullptr) {
-      for (RowId r : seeded) fn(r);
-    } else {
-      for (RowId r = first_row; r < end_row; ++r) fn(r);
-    }
-  };
-
-  if (state.constant) {
-    each_candidate([&](RowId r) {
-      if (!detect_internal::MatchesLhs(relation_, row, state.scans, r)) {
-        return;
-      }
-      ++state.candidates;
-      detect_internal::EmitConstantViolation(relation_, state.pfd_index,
-                                             state.row_index, row, r,
-                                             &state.violations);
-    });
-  } else {
-    std::string key;
-    key.reserve(32 * row.lhs_cols.size());
-    each_candidate([&](RowId r) {
-      if (!detect_internal::MatchesLhs(relation_, row, state.scans, r)) {
-        return;
-      }
-      ++state.candidates;
-      if (detect_internal::RecordKey(relation_, row, state.scans, r, &key)) {
-        ++state.matched;
-        state.groups[key].push_back(r);
-      }
-    });
-  }
 }
 
 void DetectionStream::ReportConflict(StreamConflict conflict) {
@@ -368,8 +159,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
   //    against the stream's resolved rows.
   //  * Variable-rule suggestions come from the *cumulative* equivalence
   //    groups: the absorbed members the stream already holds in
-  //    `RowState::groups` plus the batch's own members, resolved with the
-  //    same majority rule as one-shot group resolution (MajorityBlock).
+  //    `ItemState::groups` plus the batch's own members, resolved with the
+  //    same majority rule as one-shot group resolution (ResolveGroups).
   //
   // Per-distinct-value match/extraction verdicts are reused from the
   // stream's cross-batch memos when the value was already absorbed (looked
@@ -403,10 +194,9 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       if (dict != nullptr && dict->Lookup(value, &id)) {
         entry.ids[r] = static_cast<int64_t>(id);
       } else {
-        auto [it, inserted] = local.try_emplace(
-            value, -static_cast<int64_t>(entry.new_values.size()) - 1);
-        if (inserted) entry.new_values.push_back(value);
-        entry.ids[r] = it->second;
+        entry.ids[r] =
+            local.try_emplace(value, -static_cast<int64_t>(local.size()) - 1)
+                .first->second;
       }
     }
     return entry;
@@ -432,30 +222,25 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
   SuggestionFold dirty_fold;
 
   // ---- Constant rules -----------------------------------------------------
-  for (RowState& state : rows_) {
-    if (!state.constant) continue;
-    const ResolvedRow& row = state.resolved;
-    BatchLhsScan scan(batch, row, state.scans, cell_ids_of(row));
+  for (size_t item = 0; item < plan_.rows.size(); ++item) {
+    const ResolvedRow& row = plan_.rows[item];
+    if (!row.row->IsConstantRow()) continue;
+    BatchLhsScan scan(batch, row, states_[item].memos, cell_ids_of(row));
     for (RowId r = 0; r < nbatch; ++r) {
       if (!scan.Matches(r)) continue;
       // The suggestion EmitConstantViolation would attach: the first
       // mismatched RHS constant, for that cell; empty constants carry no
       // repair (SuggestionFold drops them).
-      size_t first_mismatch = row.rhs_cols.size();
-      for (size_t i = 0; i < row.rhs_cols.size(); ++i) {
-        if (batch.cell(r, row.rhs_cols[i]) != row.rhs_constants[i]) {
-          first_mismatch = i;
-          break;
-        }
-      }
+      const size_t first_mismatch = detect_internal::FirstRhsMismatch(
+          row, [&](size_t col) { return batch.cell(r, col); });
       if (first_mismatch == row.rhs_cols.size()) continue;
       const CellRef suspect{
           r, static_cast<uint32_t>(row.rhs_cols[first_mismatch])};
-      fold.Add(suspect, row.rhs_constants[first_mismatch], state.pfd_index,
+      fold.Add(suspect, row.rhs_constants[first_mismatch], row.pfd_index,
                /*variable=*/false);
       if (clean_variable_rules_) {  // dirty_fold is only read for flips
         dirty_fold.Add(suspect, row.rhs_constants[first_mismatch],
-                       state.pfd_index, /*variable=*/false);
+                       row.pfd_index, /*variable=*/false);
       }
     }
   }
@@ -474,9 +259,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
     // consulted before flagging a retroactive-repair conflict).
     const auto oneshot_constant_conflict = [&](RowId a, uint32_t col,
                                                const std::string& value) {
-      for (const RowState& cs : rows_) {
-        if (!cs.constant) continue;
-        const ResolvedRow& crow = cs.resolved;
+      for (const ResolvedRow& crow : plan_.rows) {
+        if (!crow.row->IsConstantRow()) continue;
         bool lhs_ok = true;
         for (size_t i = 0; i < crow.lhs_cols.size() && lhs_ok; ++i) {
           const ConstrainedMatcher* matcher = crow.lhs_matchers[i].get();
@@ -484,13 +268,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           lhs_ok = matcher->Matches(dirty_cell(a, crow.lhs_cols[i]));
         }
         if (!lhs_ok) continue;
-        size_t first = crow.rhs_cols.size();
-        for (size_t i = 0; i < crow.rhs_cols.size(); ++i) {
-          if (dirty_cell(a, crow.rhs_cols[i]) != crow.rhs_constants[i]) {
-            first = i;
-            break;
-          }
-        }
+        const size_t first = detect_internal::FirstRhsMismatch(
+            crow, [&](size_t c) { return dirty_cell(a, c); });
         if (first == crow.rhs_cols.size()) continue;
         if (crow.rhs_cols[first] != col) continue;
         const std::string& suggestion = crow.rhs_constants[first];
@@ -498,24 +277,20 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       }
       return false;
     };
-    for (RowState& state : rows_) {
-      if (!state.variable) continue;
-      const ResolvedRow& row = state.resolved;
+    for (size_t item = 0; item < plan_.rows.size(); ++item) {
+      const ResolvedRow& row = plan_.rows[item];
+      if (!row.row->IsVariableRow()) continue;
       const uint32_t rhs_front = static_cast<uint32_t>(row.rhs_cols.front());
       const auto batch_rhs = [&](RowId b) {
         return detect_internal::RhsValue(batch, row, b);
       };
-      // RhsValue's exact byte format, read through the dirty overrides.
+      // RhsValue, read through the dirty overrides.
       const auto dirty_rhs = [&](RowId a) {
-        std::string value;
-        for (size_t col : row.rhs_cols) {
-          value.append(dirty_cell(a, col));
-          value.push_back('\x1f');
-        }
-        return value;
+        return detect_internal::RhsValueOf(
+            row, [&](size_t col) { return dirty_cell(a, col); });
       };
 
-      BatchLhsScan scan(batch, row, state.scans, cell_ids_of(row));
+      BatchLhsScan scan(batch, row, states_[item].memos, cell_ids_of(row));
       std::map<std::string, std::vector<RowId>> batch_groups;
       std::string key;
       key.reserve(32 * row.lhs_cols.size());
@@ -527,19 +302,17 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
 
       for (const auto& [gkey, brows] : batch_groups) {
         static const std::vector<RowId> kNoAbsorbed;
-        const auto git = state.groups.find(gkey);
+        const auto git = states_[item].groups.find(gkey);
         const std::vector<RowId>& arows =
-            git == state.groups.end() ? kNoAbsorbed : git->second;
+            git == states_[item].groups.end() ? kNoAbsorbed : git->second;
         if (arows.size() + brows.size() < 2) continue;
 
         // The absorbed side of the group's RHS split, folded incrementally
         // (`GroupRhsCache`): absorbed rows are append-only and never
         // retroactively edited, so both their cleaned and dirty RHS values
         // are immutable and each is computed exactly once over the
-        // stream's lifetime — not once per batch that touches the group
-        // (the re-fold was most of variable cleaning's ≈1.9× surcharge
-        // over constant-only, A7e).
-        RowState::GroupRhsCache& cache = state.rhs_cache[gkey];
+        // stream's lifetime — not once per batch that touches the group.
+        GroupRhsCache& cache = rhs_caches_[item][gkey];
         for (size_t ai = cache.covered; ai < arows.size(); ++ai) {
           const RowId a = arows[ai];
           cache.by_stream[detect_internal::RhsValue(relation_, row, a)]
@@ -562,7 +335,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
         }
 
         // Majority over the merged absorbed + batch split without
-        // materializing the combined map, replicating MajorityBlock
+        // materializing the combined map, replicating ResolveGroups' rule
         // exactly: keys ascending, strictly greater count wins (ties keep
         // the lexicographically smallest key), witness is the majority
         // block's first member — the absorbed front when the key has
@@ -622,8 +395,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           // runtime check needed here.
           for (size_t bi = 0; bi < brows.size(); ++bi) {
             if (brow_rhs[bi] == *stream_m.key) continue;
-            fold.Add(CellRef{brows[bi], rhs_front}, repair,
-                     state.pfd_index, /*variable=*/true);
+            fold.Add(CellRef{brows[bi], rhs_front}, repair, row.pfd_index,
+                     /*variable=*/true);
           }
         }
 
@@ -642,7 +415,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
           for (size_t bi = 0; bi < brows.size(); ++bi) {
             if (brow_rhs[bi] == *dirty_m.key) continue;
             dirty_fold.Add(CellRef{brows[bi], rhs_front}, dirty_repair,
-                           state.pfd_index, /*variable=*/true);
+                           row.pfd_index, /*variable=*/true);
           }
         }
         for (size_t ai = 0; ai < arows.size(); ++ai) {
@@ -664,7 +437,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                                             dirty_repair))) {
               ReportConflict(StreamConflict{
                   StreamConflict::Kind::kRetroactiveRepair, cell,
-                  std::string(current), dirty_repair, state.pfd_index,
+                  std::string(current), dirty_repair, row.pfd_index,
                   num_batches_});
             }
           } else if (variable_repaired_.count(cell) > 0 &&
@@ -676,7 +449,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
                 StreamConflict::Kind::kRetroactiveRepair, cell,
                 std::string(current),
                 std::string(dirty_cell(cell.row, cell.column)),
-                state.pfd_index, num_batches_});
+                row.pfd_index, num_batches_});
           }
         }
       }
@@ -762,13 +535,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
       for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
         const std::string_view cell = rel.cell(r, row.lhs_cols[i]);
         const ConstrainedMatcher* matcher = row.lhs_matchers[i].get();
-        if (matcher == nullptr) {
-          key->append(cell);
-          key->push_back('\x1f');
-          continue;
-        }
-        if (!matcher->Matches(cell)) return false;
-        if (!ComputeKeyFragment(*matcher, cell, key)) return false;
+        if (matcher != nullptr && !matcher->Matches(cell)) return false;
+        if (!AppendKeyFragment(matcher, cell, key)) return false;
       }
       return true;
     };
@@ -776,9 +544,8 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
     std::string clean_key;
     for (const AppliedRepair& applied : batch_repairs_) {
       const RowId b = applied.cell.row - base;
-      for (const RowState& state : rows_) {
-        if (!state.variable) continue;
-        const ResolvedRow& row = state.resolved;
+      for (const ResolvedRow& row : plan_.rows) {
+        if (!row.row->IsVariableRow()) continue;
         if (std::find(row.lhs_cols.begin(), row.lhs_cols.end(),
                       static_cast<size_t>(applied.cell.column)) ==
             row.lhs_cols.end()) {
@@ -791,7 +558,7 @@ Result<bool> DetectionStream::CleanBatch(const Relation& batch,
             (dirty_member && dirty_key != clean_key)) {
           ReportConflict(StreamConflict{StreamConflict::Kind::kKeyDivergence,
                                         applied.cell, applied.after,
-                                        applied.before, state.pfd_index,
+                                        applied.before, row.pfd_index,
                                         num_batches_});
         }
       }
@@ -830,74 +597,44 @@ Result<DetectionResult> DetectionStream::AppendBatch(const Relation& batch) {
     ANMAT_RETURN_NOT_OK(relation_.AppendRow(rows_in->Row(r)));
   }
   const RowId end_row = static_cast<RowId>(relation_.num_rows());
-
-  // Extend the incremental structures before fanning out: the per-row
-  // tasks read them concurrently.
-  for (size_t c = 0; c < dicts_.size(); ++c) {
-    if (dicts_[c] != nullptr) {
-      dicts_[c]->Append(rows_in->column(c), first_row);
-    }
-  }
-  for (size_t c = 0; c < indexes_.size(); ++c) {
-    if (indexes_[c] != nullptr) indexes_[c]->AppendRows(first_row, end_row);
-  }
-  // One combined scan per column classifies the batch's new distinct
-  // values — ids in [watermark, num_values) — against every pattern of the
-  // column at once, with the freshly extended pattern index as pre-filter;
-  // the per-row tasks then read the verdicts through `preset_match`.
-  for (size_t c = 0; c < dispatchers_.size(); ++c) {
-    if (dispatchers_[c] == nullptr) continue;
-    DispatchPrefilter candidates;
-    if (indexes_[c] != nullptr) {
-      candidates = [index = indexes_[c].get()](
-                       const std::vector<const Pattern*>& members,
-                       uint32_t first_id) {
-        return index->CandidateValueIds(members, first_id);
-      };
-    }
-    dispatchers_[c]->ClassifyValues(*dicts_[c], classified_values_[c],
-                                    candidates);
-    classified_values_[c] = static_cast<uint32_t>(dicts_[c]->num_values());
-  }
   ++num_batches_;
 
-  // Absorb the new rows and assemble per-(PFD, row) result slots; each task
-  // owns its RowState exclusively and reads the shared structures. Merging
-  // in slot order plus the canonical sort keeps the cumulative result
-  // byte-identical to a one-shot run at any thread count.
-  std::vector<DetectionResult> slots(rows_.size());
-  ParallelFor(options_.execution, rows_.size(), [&](size_t i) {
-    RowState& state = rows_[i];
-    if (!state.constant && !state.variable) return;
-    AbsorbRows(state, first_row, end_row);
-    DetectionResult& slot = slots[i];
-    slot.stats.candidate_rows = state.candidates;
-    if (state.constant) {
-      slot.violations = state.violations;  // cumulative; copy, keep ours
-    } else {
-      if (!options_.use_blocking) {
-        slot.stats.pairs_checked +=
-            state.matched * (state.matched - 1) / 2;
-      }
-      detect_internal::ResolveGroups(relation_, state.pfd_index,
-                                     state.row_index, state.resolved,
-                                     state.groups, /*max_violations=*/0,
-                                     &slot);
+  // Extend the incremental structures before fanning out: the per-item
+  // tasks read them concurrently. Each column's dispatcher classifies only
+  // the batch's new distinct values, in one combined scan per prefix group
+  // with the freshly extended index as prefilter.
+  detect_internal::ColumnDicts dicts(dicts_.size(), nullptr);
+  for (size_t c = 0; c < dicts_.size(); ++c) {
+    if (dicts_[c] == nullptr) continue;
+    const uint32_t first_id = static_cast<uint32_t>(dicts_[c]->num_values());
+    dicts_[c]->Append(rows_in->column(c), first_row);
+    dicts[c] = dicts_[c].get();
+    if (indexes_[c] != nullptr) indexes_[c]->AppendRows(first_row, end_row);
+    if (ColumnDispatcher* cd = plan_.dispatchers[c].get(); cd != nullptr) {
+      cd->ClassifyValues(*dicts_[c], first_id,
+                         detect_internal::IndexPrefilter(indexes_[c].get()));
     }
-  });
-
-  DetectionResult result;
-  result.stats.rows_scanned = relation_.num_rows() * pfds_.size();
-  for (DetectionResult& slot : slots) {
-    result.stats.candidate_rows += slot.stats.candidate_rows;
-    result.stats.pairs_checked += slot.stats.pairs_checked;
-    result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(slot.violations.begin()),
-                             std::make_move_iterator(slot.violations.end()));
   }
-  SortViolations(&result.violations);
-  result.stats.violations = result.violations.size();
-  return result;
+
+  // Absorb the new rows, one task per item, each owning its item state;
+  // candidates are the seed index's posting tails (rows >= first_row),
+  // else the whole batch. Collect re-resolves the cumulative groups.
+  ParallelFor(options_.execution, plan_.rows.size(), [&](size_t i) {
+    const ResolvedRow& row = plan_.rows[i];
+    std::vector<RowId> seeded;
+    const std::vector<RowId>* list = nullptr;
+    if (row.detects() && row.seed < row.lhs_cols.size()) {
+      if (const PatternIndex* index = indexes_[row.lhs_cols[row.seed]].get();
+          index != nullptr) {
+        seeded = index->CandidateSuperset(
+            row.row->lhs[row.seed].pattern().EmbeddedPattern(), first_row);
+        list = &seeded;
+      }
+    }
+    detect_internal::Absorb(relation_, row, dicts, list, first_row, end_row,
+                            states_[i]);
+  });
+  return detect_internal::Collect(relation_, plan_, states_, options_);
 }
 
 Result<DetectionResult> DetectionStream::AppendRows(

@@ -7,12 +7,14 @@
 ///
 /// One-shot `DetectErrors` pays the full pattern cost — dictionary builds,
 /// index builds, one match/extraction per distinct value — on every run. A
-/// `DetectionStream` pays it once per *newly seen distinct value*: each
-/// `AppendBatch` extends the per-column dictionaries and pattern-index
-/// postings incrementally and keeps per-tableau-cell match/extraction memos
-/// alive across batches, so append-heavy workloads (a feed of records
-/// checked as they arrive, the demo GUI re-running after edits) do
-/// O(new distinct values) automaton work per batch instead of O(rows).
+/// `DetectionStream` pays it once per *newly seen distinct value*: both
+/// run the same detection kernel (detect_kernel.h), but each `AppendBatch`
+/// only extends the per-column dictionaries, pattern-index postings and
+/// dispatch verdicts, absorbs the new rows (seeded from the index posting
+/// tails) and keeps every item's memos and groups alive across batches, so
+/// append-heavy workloads (a feed of records checked as they arrive, the
+/// demo GUI re-running after edits) do O(new distinct values) automaton
+/// work per batch instead of O(rows).
 ///
 /// The cumulative result returned by `AppendBatch` is byte-identical to
 /// `DetectErrors` over the concatenated relation (asserted by the
@@ -34,7 +36,7 @@
 ///    restores constant-only cleaning): each batch row joins its
 ///    equivalence group, and the suggestion is the *cumulative* group
 ///    majority — the absorbed rows the stream already holds in
-///    `RowState::groups` plus the batch's own members — exactly the
+///    `ItemState::groups` plus the batch's own members — exactly the
 ///    majority a one-shot constant+variable repair pass over the
 ///    concatenation would use, as long as that majority never flips.
 ///
@@ -42,13 +44,11 @@
 /// incremental dictionaries and the per-distinct-value match/extraction
 /// memos (new values are memoized batch-locally). Constant cleaning adds
 /// essentially nothing over plain streaming (A7d in bench_a7, ≈1.0×);
-/// variable cleaning re-resolves the RHS split of every group the batch
-/// touches — the same O(touched group sizes) shape as the cumulative
-/// group re-resolution the stream already performs per batch — for a
-/// bounded surcharge (A7e, ≈1.9× the constant-only cleaning cost on the
-/// 20-batch zip bench). Applied repairs are reported per batch
-/// (`batch_repairs()`) and cumulatively (`repairs()`), with row ids in
-/// stream coordinates.
+/// variable cleaning folds the RHS split of every group the batch touches
+/// incrementally, for a bounded surcharge (A7e, ≈1.4× the constant-only
+/// cleaning cost on the 20-batch zip bench). Applied repairs are reported
+/// per batch (`batch_repairs()`) and cumulatively (`repairs()`), with row
+/// ids in stream coordinates.
 ///
 /// Majority-flip semantics: already-absorbed rows are NEVER retroactively
 /// edited — the stream's relation is append-only except for the batch
@@ -69,9 +69,8 @@
 #include <vector>
 
 #include "detect/detector.h"
-#include "detect/detector_internal.h"
+#include "detect/detect_kernel.h"
 #include "detect/pattern_index.h"
-#include "dispatch/dispatch_plan.h"
 #include "pfd/pfd.h"
 #include "relation/relation.h"
 #include "util/status.h"
@@ -115,11 +114,9 @@ struct StreamConflict {
 class DetectionStream {
  public:
   /// Opens a stream for `pfds` over relations with `schema`. Fails if some
-  /// PFD does not validate against the schema, if
+  /// PFD does not validate against the schema, or if
   /// `options.max_violations` is set (the cap's "first N found" semantics
-  /// contradict cumulative results), or if `options.use_value_dictionary`
-  /// is cleared (the cross-batch memos are keyed by dictionary value id —
-  /// they are what makes a batch cost O(new distinct values)).
+  /// contradict cumulative results).
   static Result<std::unique_ptr<DetectionStream>> Open(
       const Schema& schema, std::vector<Pfd> pfds,
       const DetectorOptions& options = {});
@@ -184,53 +181,25 @@ class DetectionStream {
   DetectionStream(Schema schema, std::vector<Pfd> pfds,
                   DetectorOptions options);
 
-  /// Resolves tableau rows and allocates per-row state; called once.
+  /// Builds the plan and the incremental structures; called once.
   Status Init();
 
-  /// Per-(PFD, tableau row) state carried across batches.
-  struct RowState {
-    size_t pfd_index = 0;
-    size_t row_index = 0;
-    bool constant = false;
-    bool variable = false;
-    detect_internal::ResolvedRow resolved;
-    /// Persistent per-distinct-value memos (preset to the stream dicts).
-    std::vector<detect_internal::CellScan> scans;
-    /// Cumulative count of rows matching the full LHS.
-    size_t candidates = 0;
-    /// Constant rows: cumulative violations (violations of a constant row
-    /// depend only on that row's own cells, so they never change once
-    /// emitted; appended in ascending row order).
-    std::vector<Violation> violations;
-    /// Variable rows: cumulative key → rows groups (append-only; the group
-    /// resolution is re-run per batch because majorities can flip).
-    std::map<std::string, std::vector<RowId>> groups;
-    /// Variable rows: cumulative count of rows with an extractable key
-    /// (for the `use_blocking == false` pairs_checked accounting).
-    size_t matched = 0;
-    /// Variable rows, clean-on-ingest: incremental per-group RHS splits of
-    /// the *absorbed* rows, folded lazily as groups grow (absorbed rows are
-    /// append-only and never retroactively edited, so both the cleaned and
-    /// dirty RHS views of a row are immutable once absorbed). Saves the
-    /// per-batch re-fold of every touched group's full history that made
-    /// variable cleaning ≈1.9× constant-only cleaning (A7e).
-    struct GroupRhsCache {
-      /// RHS value → rows, over the stream's (cleaned) relation.
-      std::map<std::string, std::vector<RowId>> by_stream;
-      /// Same split over the dirty view (applying `dirty_overrides_`).
-      std::map<std::string, std::vector<RowId>> by_dirty;
-      /// Per absorbed group member (group order): its dirty RHS value, as
-      /// a pointer into a `by_dirty` key (flip detection walks this
-      /// instead of recomputing each row's dirty RHS).
-      std::vector<const std::string*> dirty_of;
-      /// How many of the group's absorbed rows are folded in.
-      size_t covered = 0;
-    };
-    std::map<std::string, GroupRhsCache> rhs_cache;
+  /// Clean-on-ingest, per variable item: incremental per-group RHS splits
+  /// of the *absorbed* rows, folded lazily as groups grow (absorbed rows
+  /// are append-only and never retroactively edited, so both the cleaned
+  /// and dirty RHS views of a row are immutable once absorbed).
+  struct GroupRhsCache {
+    /// RHS value → rows, over the stream's (cleaned) relation.
+    std::map<std::string, std::vector<RowId>> by_stream;
+    /// Same split over the dirty view (applying `dirty_overrides_`).
+    std::map<std::string, std::vector<RowId>> by_dirty;
+    /// Per absorbed group member (group order): its dirty RHS value, as
+    /// a pointer into a `by_dirty` key (flip detection walks this
+    /// instead of recomputing each row's dirty RHS).
+    std::vector<const std::string*> dirty_of;
+    /// How many of the group's absorbed rows are folded in.
+    size_t covered = 0;
   };
-
-  /// Folds the batch rows [first_row, end_row) into `state`.
-  void AbsorbRows(RowState& state, RowId first_row, RowId end_row);
 
   /// Computes the confident constant- and (when enabled) variable-rule
   /// repairs for `batch` and records them (clean-on-ingest), surfacing
@@ -248,6 +217,11 @@ class DetectionStream {
   std::vector<Pfd> pfds_;
   DetectorOptions options_;
   size_t num_batches_ = 0;
+  /// The kernel plan over `pfds_` and each item's cumulative state.
+  detect_internal::DetectPlan plan_;
+  std::vector<detect_internal::ItemState> states_;
+  /// Per item: group key → clean-on-ingest RHS split cache.
+  std::vector<std::map<std::string, GroupRhsCache>> rhs_caches_;
   /// Stream-owned incremental dictionaries, one slot per column (null for
   /// columns no pattern cell touches). `Relation::dictionary` would rebuild
   /// from scratch after every append; these only absorb the new rows.
@@ -256,18 +230,6 @@ class DetectionStream {
   /// when `options_.use_pattern_index`): per batch they absorb the new rows'
   /// postings and seed each constant row's new candidates sub-linearly.
   std::vector<std::unique_ptr<PatternIndex>> indexes_;
-  /// Multi-pattern dispatchers, one slot per column (null for columns with
-  /// no pattern cell, or when dispatch is off / the column's unions are
-  /// unfreezable). Each batch classifies only the column's *new* distinct
-  /// values — ids in `[classified_values_[c], num_values)` — in one combined
-  /// scan per prefix group, with the column's `PatternIndex` as pre-filter;
-  /// the verdict vectors feed every covered cell memo via
-  /// `CellScan::preset_match`.
-  std::vector<std::unique_ptr<ColumnDispatcher>> dispatchers_;
-  /// Per column: how many distinct values the dispatcher has classified
-  /// (the watermark the next batch's combined scan starts from).
-  std::vector<uint32_t> classified_values_;
-  std::vector<RowState> rows_;
   bool clean_on_ingest_ = false;
   bool clean_variable_rules_ = true;
   std::vector<AppliedRepair> batch_repairs_;

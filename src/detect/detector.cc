@@ -1,740 +1,82 @@
 #include "detect/detector.h"
 
 #include <algorithm>
-#include <map>
 #include <memory>
-#include <set>
 
-#include "detect/blocking.h"
-#include "detect/detector_internal.h"
-#include "dispatch/dispatch_plan.h"
-#include "pattern/matcher.h"
+#include "detect/detect_kernel.h"
+#include "util/thread_pool.h"
 
 namespace anmat {
-
-// ---------------------------------------------------------------------------
-// Shared internals (declared in detector_internal.h; the streaming detector
-// in detection_stream.cc drives the same definitions).
-// ---------------------------------------------------------------------------
-
 namespace detect_internal {
 
-ResolvedRow ResolveRow(const TableauRow& row,
-                       const std::vector<size_t>& lhs_cols,
-                       const std::vector<size_t>& rhs_cols,
-                       const std::vector<std::string>& lhs_attrs,
-                       const std::vector<std::string>& rhs_attrs,
-                       AutomatonCache* automata) {
-  ResolvedRow resolved;
-  resolved.row = &row;
-  resolved.lhs_cols = lhs_cols;
-  resolved.rhs_cols = rhs_cols;
-  resolved.lhs_attrs = lhs_attrs;
-  resolved.rhs_attrs = rhs_attrs;
-  for (const TableauCell& cell : row.lhs) {
-    resolved.lhs_matchers.push_back(
-        cell.is_wildcard()
-            ? nullptr
-            : std::make_unique<ConstrainedMatcher>(cell.pattern(), automata));
-  }
-  if (row.IsConstantRow()) {
-    for (const TableauCell& cell : row.rhs) {
-      std::string constant;
-      cell.IsConstant(&constant);
-      resolved.rhs_constants.push_back(std::move(constant));
-    }
-  }
-  return resolved;
-}
-
-size_t SeedCell(const ResolvedRow& row) {
-  for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    if (row.lhs_matchers[i] != nullptr) return i;
-  }
-  return row.lhs_cols.size();
-}
-
-void SortViolations(std::vector<Violation>* violations) {
-  std::sort(violations->begin(), violations->end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.pfd_index != b.pfd_index) return a.pfd_index < b.pfd_index;
-              if (a.tableau_row != b.tableau_row) {
-                return a.tableau_row < b.tableau_row;
-              }
-              return a.cells < b.cells;
-            });
-}
-
-bool MatchesLhs(const Relation& relation, const ResolvedRow& row,
-                std::vector<CellScan>& scans, RowId r) {
-  for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    if (row.lhs_matchers[i] == nullptr) continue;
-    CellScan& scan = scans[i];
-    bool ok;
-    if (scan.enabled()) {
-      const ColumnDictionary& dict = scan.Dict();
-      const uint32_t id = dict.value_id(r);
-      if (scan.preset_match != nullptr && id < scan.preset_match->size()) {
-        ok = (*scan.preset_match)[id] != 0;
-      } else {
-        if (scan.match.size() < dict.num_values()) {
-          scan.match.resize(dict.num_values(), -1);
-        }
-        if (scan.match[id] < 0) {
-          scan.match[id] =
-              row.lhs_matchers[i]->Matches(dict.value(id)) ? 1 : 0;
-        }
-        ok = scan.match[id] != 0;
-      }
-    } else {
-      ok = row.lhs_matchers[i]->Matches(relation.cell(r, row.lhs_cols[i]));
-    }
-    if (!ok) return false;
-  }
-  return true;
-}
-
-bool RecordKey(const Relation& relation, const ResolvedRow& row,
-               std::vector<CellScan>& scans, RowId r, std::string* key) {
-  key->clear();
-  Extraction extraction;
-  for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    const std::string_view cell = relation.cell(r, row.lhs_cols[i]);
-    if (row.lhs_matchers[i] == nullptr) {
-      key->append(cell);
-      key->push_back('\x1f');
-      continue;
-    }
-    CellScan& scan = scans[i];
-    if (scan.enabled()) {
-      const ColumnDictionary& dict = scan.Dict();
-      if (scan.frag_state.size() < dict.num_values()) {
-        scan.frag_state.resize(dict.num_values(), -1);
-        scan.frag.resize(dict.num_values());
-      }
-      const uint32_t id = dict.value_id(r);
-      if (scan.frag_state[id] < 0) {
-        if (row.lhs_matchers[i]->ExtractCanonical(dict.value(id),
-                                                  &extraction)) {
-          std::string& frag = scan.frag[id];
-          for (const std::string& part : extraction) {
-            frag.append(part);
-            frag.push_back('\x1f');
-          }
-          frag.push_back('\x1e');
-          scan.frag_state[id] = 1;
-        } else {
-          scan.frag_state[id] = 0;
-        }
-      }
-      if (scan.frag_state[id] == 0) return false;
-      key->append(scan.frag[id]);
-      continue;
-    }
-    if (!row.lhs_matchers[i]->ExtractCanonical(cell, &extraction)) {
-      return false;
-    }
-    for (const std::string& part : extraction) {
-      key->append(part);
-      key->push_back('\x1f');
-    }
-    key->push_back('\x1e');
-  }
-  return true;
-}
-
-std::string RhsValue(const Relation& relation, const ResolvedRow& row,
-                     RowId r) {
-  std::string value;
-  for (size_t i = 0; i < row.rhs_cols.size(); ++i) {
-    value.append(relation.cell(r, row.rhs_cols[i]));
-    value.push_back('\x1f');
-  }
-  return value;
-}
-
-bool EmitConstantViolation(const Relation& relation, size_t pfd_index,
-                           size_t row_index, const ResolvedRow& row, RowId r,
-                           std::vector<Violation>* out) {
-  // Every RHS cell must equal its constant; collect mismatches.
-  std::vector<size_t> mismatches;
-  for (size_t i = 0; i < row.rhs_cols.size(); ++i) {
-    if (relation.cell(r, row.rhs_cols[i]) != row.rhs_constants[i]) {
-      mismatches.push_back(i);
-    }
-  }
-  if (mismatches.empty()) return false;
-
-  Violation v;
-  v.kind = ViolationKind::kConstant;
-  v.pfd_index = pfd_index;
-  v.tableau_row = row_index;
-  for (size_t col : row.lhs_cols) {
-    v.cells.push_back(CellRef{r, static_cast<uint32_t>(col)});
-  }
-  for (size_t i : mismatches) {
-    v.cells.push_back(CellRef{r, static_cast<uint32_t>(row.rhs_cols[i])});
-  }
-  const size_t first = mismatches.front();
-  v.suspect = CellRef{r, static_cast<uint32_t>(row.rhs_cols[first])};
-  v.suggested_repair = row.rhs_constants[first];
-  v.explanation = row.lhs_attrs[0] + " = \"";
-  v.explanation += relation.cell(r, row.lhs_cols[0]);
-  v.explanation += "\" matches " + row.row->lhs[0].ToString() + " but " +
-                   row.rhs_attrs[first] + " = \"";
-  v.explanation += relation.cell(r, row.rhs_cols[first]);
-  v.explanation += "\" != \"" + row.rhs_constants[first] + "\"";
-  out->push_back(std::move(v));
-  return true;
-}
-
-void EmitPairViolation(const Relation& relation, size_t pfd_index,
-                       size_t row_index, const ResolvedRow& row,
-                       RowId suspect_row, RowId witness,
-                       const std::string& majority_repair,
-                       std::vector<Violation>* out) {
-  Violation v;
-  v.kind = ViolationKind::kVariable;
-  v.pfd_index = pfd_index;
-  v.tableau_row = row_index;
-  for (size_t col : row.lhs_cols) {
-    v.cells.push_back(CellRef{suspect_row, static_cast<uint32_t>(col)});
-  }
-  for (size_t col : row.rhs_cols) {
-    v.cells.push_back(CellRef{suspect_row, static_cast<uint32_t>(col)});
-  }
-  for (size_t col : row.lhs_cols) {
-    v.cells.push_back(CellRef{witness, static_cast<uint32_t>(col)});
-  }
-  for (size_t col : row.rhs_cols) {
-    v.cells.push_back(CellRef{witness, static_cast<uint32_t>(col)});
-  }
-  v.suspect =
-      CellRef{suspect_row, static_cast<uint32_t>(row.rhs_cols.front())};
-  v.suggested_repair = majority_repair;
-  v.explanation =
-      "rows " + std::to_string(suspect_row) + " and " +
-      std::to_string(witness) + " agree on the constrained part of the LHS " +
-      "but disagree on " + row.rhs_attrs.front() + " (\"";
-  v.explanation += relation.cell(suspect_row, row.rhs_cols.front());
-  v.explanation += "\" vs \"";
-  v.explanation += relation.cell(witness, row.rhs_cols.front());
-  v.explanation += "\")";
-  out->push_back(std::move(v));
-}
-
-const std::pair<const std::string, std::vector<RowId>>& MajorityBlock(
-    const std::map<std::string, std::vector<RowId>>& by_rhs) {
-  const std::pair<const std::string, std::vector<RowId>>* best =
-      &*by_rhs.begin();
-  for (const auto& entry : by_rhs) {
-    if (entry.second.size() > best->second.size()) best = &entry;
-  }
-  return *best;
-}
-
-void ResolveGroups(const Relation& relation, size_t pfd_index,
-                   size_t row_index, const ResolvedRow& row,
-                   const std::map<std::string, std::vector<RowId>>& groups,
-                   size_t max_violations, DetectionResult* result) {
-  const auto at_cap = [&] {
-    return max_violations > 0 && result->violations.size() >= max_violations;
+DetectionResult DetectWithPlan(const Relation& relation, DetectPlan& plan,
+                               const DetectorOptions& options) {
+  // Every run starts its item states empty: the repair loop mutates cells
+  // between the runs that share this plan.
+  std::vector<ItemState> states = plan.NewStates();
+  const auto active = [](const ResolvedRow& row) {
+    return row.detects() && row.seed < row.lhs_cols.size();
   };
-  for (const auto& [key, rows] : groups) {
-    if (rows.size() < 2) continue;
-    std::map<std::string, std::vector<RowId>> by_rhs;
-    for (RowId r : rows) {
-      by_rhs[RhsValue(relation, row, r)].push_back(r);
-    }
-    if (by_rhs.size() > 1) {
-      // Blocking only pays for pairs inside conflicting blocks.
-      result->stats.pairs_checked += rows.size() * (rows.size() - 1) / 2;
-    }
-    if (by_rhs.size() <= 1) continue;
-
-    const auto& majority = MajorityBlock(by_rhs);
-    const std::string* majority_key = &majority.first;
-    const RowId witness = majority.second.front();
-    // Repair suggestion: the witness's first RHS attribute value.
-    const std::string majority_repair(
-        relation.cell(witness, row.rhs_cols.front()));
-    for (const auto& [rhs, ids] : by_rhs) {
-      if (rhs == *majority_key) continue;
-      for (RowId r : ids) {
-        if (at_cap()) return;
-        EmitPairViolation(relation, pfd_index, row_index, row, r, witness,
-                          majority_repair, &result->violations);
-      }
-    }
-  }
-}
-
-}  // namespace detect_internal
-
-// ---------------------------------------------------------------------------
-// One-shot detection
-// ---------------------------------------------------------------------------
-
-namespace {
-
-using detect_internal::CellScan;
-using detect_internal::ResolvedRow;
-
-/// Per-(work item, LHS cell) handle into a column dispatcher's verdicts.
-struct DispatchCell {
-  const ColumnDispatcher* dispatcher = nullptr;
-  uint32_t slot = 0;
-};
-
-/// One run's multi-pattern dispatch tables: a `ColumnDispatcher` per LHS
-/// column (union automata shared through the engine cache) plus the
-/// (item, cell) -> slot map the scan setup reads. Built once per
-/// detection run, then read-only across every task.
-struct DetectDispatch {
-  std::map<size_t, ColumnDispatcher> by_col;
-  std::vector<std::vector<DispatchCell>> cells;  ///< [item][lhs cell]
-
-  /// Column `col`'s patterns all classify through a compiled dispatcher
-  /// (its seed lookups never touch a PatternIndex). Partially-covered
-  /// columns still need the index for their uncovered slots.
-  bool Covers(size_t col) const {
-    auto it = by_col.find(col);
-    return it != by_col.end() && it->second.compiled() &&
-           it->second.fully_covered();
-  }
-};
-
-/// Shared context of one detection run (serial: one per run shared across
-/// PFDs; parallel: one per (PFD, tableau row) task).
-struct RunContext {
-  const Relation* relation;
-  const DetectorOptions* options;
-  DetectionResult* result;
-  // Lazily-built pattern indexes, one per column.
-  std::map<size_t, std::unique_ptr<PatternIndex>> indexes;
-  // Pre-built indexes shared read-only across parallel tasks (may be null).
-  const std::map<size_t, std::unique_ptr<PatternIndex>>* shared_indexes =
-      nullptr;
-  // Pre-classified dispatch verdicts shared read-only (may be null).
-  const DetectDispatch* dispatch = nullptr;
-
-  bool AtCap() const {
-    return options->max_violations > 0 &&
-           result->violations.size() >= options->max_violations;
-  }
-
-  const PatternIndex& IndexFor(size_t col) {
-    if (shared_indexes != nullptr) {
-      if (auto it = shared_indexes->find(col); it != shared_indexes->end()) {
-        return *it->second;
-      }
-    }
-    auto it = indexes.find(col);
-    if (it == indexes.end()) {
-      it = indexes
-               .emplace(col, std::make_unique<PatternIndex>(
-                                 *relation, col, options->automata.get()))
-               .first;
-    }
-    return *it->second;
-  }
-};
-
-/// All rows of the relation, as a reusable id list.
-std::vector<RowId> AllRows(const Relation& relation) {
-  std::vector<RowId> rows(relation.num_rows());
-  for (RowId r = 0; r < relation.num_rows(); ++r) rows[r] = r;
-  return rows;
-}
-
-std::vector<CellScan> MakeScans(RunContext& ctx, const ResolvedRow& row,
-                                size_t item) {
-  std::vector<CellScan> scans(row.lhs_cols.size());
-  if (!ctx.options->use_value_dictionary) return scans;
-  for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-    if (row.lhs_matchers[i] == nullptr) continue;
-    scans[i].relation = ctx.relation;
-    scans[i].col = row.lhs_cols[i];
-    if (ctx.dispatch != nullptr) {
-      const DispatchCell& dc = ctx.dispatch->cells[item][i];
-      if (dc.dispatcher != nullptr && dc.dispatcher->compiled() &&
-          dc.dispatcher->covers(dc.slot)) {
-        scans[i].preset_match = dc.dispatcher->verdicts(dc.slot);
-        scans[i].preset_ids = dc.dispatcher->match_ids(dc.slot);
-      }
-    }
-  }
-  return scans;
-}
-
-/// Candidate rows matching every (non-wildcard) LHS cell of the row. Uses
-/// the pattern index for the first pattern cell and verifies the remaining
-/// cells directly (intersection).
-std::vector<RowId> CandidateRows(RunContext& ctx, const ResolvedRow& row,
-                                 std::vector<CellScan>& scans) {
-  // Seed candidates from the first non-wildcard LHS cell.
-  std::vector<RowId> candidates;
-  const size_t seed_cell = detect_internal::SeedCell(row);
-  if (seed_cell == row.lhs_cols.size()) {
-    candidates = AllRows(*ctx.relation);  // all-wildcard LHS (rejected by
-                                          // Tableau::Validate, but be safe)
-  } else if (scans[seed_cell].preset_match != nullptr) {
-    // Dispatch verdicts: fan the matching distinct values out over their
-    // postings — the exact match set, identical to every path below. The
-    // match-id list (when present) visits only the matches; the fallback
-    // sweep reads the same verdicts for every id.
-    const ColumnDictionary& dict = scans[seed_cell].Dict();
-    if (scans[seed_cell].preset_ids != nullptr) {
-      for (const uint32_t id : *scans[seed_cell].preset_ids) {
-        const std::vector<RowId>& rows = dict.rows(id);
-        candidates.insert(candidates.end(), rows.begin(), rows.end());
-      }
-    } else {
-      const std::vector<int8_t>& preset = *scans[seed_cell].preset_match;
-      for (uint32_t id = 0; id < dict.num_values(); ++id) {
-        if (id < preset.size() && preset[id]) {
-          const std::vector<RowId>& rows = dict.rows(id);
-          candidates.insert(candidates.end(), rows.begin(), rows.end());
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-  } else if (ctx.options->use_pattern_index) {
-    candidates = ctx.IndexFor(row.lhs_cols[seed_cell])
-                     .Lookup(row.row->lhs[seed_cell].pattern());
-  } else if (scans[seed_cell].enabled()) {
-    // Dictionary scan: match each distinct value once, fan out postings,
-    // restore row order. Identical result set to the row-at-a-time scan.
-    const ColumnDictionary& dict = scans[seed_cell].Dict();
-    const ConstrainedMatcher& matcher = *row.lhs_matchers[seed_cell];
-    for (uint32_t id = 0; id < dict.num_values(); ++id) {
-      if (matcher.Matches(dict.value(id))) {
-        const std::vector<RowId>& rows = dict.rows(id);
-        candidates.insert(candidates.end(), rows.begin(), rows.end());
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-  } else {
-    const ConstrainedMatcher& matcher = *row.lhs_matchers[seed_cell];
-    for (RowId r = 0; r < ctx.relation->num_rows(); ++r) {
-      if (matcher.Matches(ctx.relation->cell(r, row.lhs_cols[seed_cell]))) {
-        candidates.push_back(r);
-      }
+  // Seed columns some item cannot seed from dispatch match ids.
+  std::vector<char> index_seeds(relation.num_columns(), 0);
+  for (size_t i = 0; i < plan.rows.size(); ++i) {
+    const ResolvedRow& row = plan.rows[i];
+    if (active(row) && states[i].memos[row.seed].preset_ids == nullptr) {
+      index_seeds[row.lhs_cols[row.seed]] = 1;
     }
   }
 
-  // Verify the remaining LHS cells (per distinct value when memoized).
-  std::vector<RowId> verified;
-  verified.reserve(candidates.size());
-  for (RowId r : candidates) {
-    bool ok = true;
-    for (size_t i = 0; i < row.lhs_cols.size(); ++i) {
-      if (i == seed_cell || row.lhs_matchers[i] == nullptr) continue;
-      CellScan& scan = scans[i];
-      if (scan.enabled()) {
-        const ColumnDictionary& dict = scan.Dict();
-        const uint32_t id = dict.value_id(r);
-        if (scan.preset_match != nullptr && id < scan.preset_match->size()) {
-          ok = (*scan.preset_match)[id] != 0;
-        } else {
-          if (scan.match.size() < dict.num_values()) {
-            scan.match.resize(dict.num_values(), -1);
-          }
-          if (scan.match[id] < 0) {
-            scan.match[id] =
-                row.lhs_matchers[i]->Matches(dict.value(id)) ? 1 : 0;
-          }
-          ok = scan.match[id] != 0;
-        }
-      } else {
-        ok = row.lhs_matchers[i]->Matches(
-            ctx.relation->cell(r, row.lhs_cols[i]));
-      }
-      if (!ok) break;
+  // Per pattern column, in parallel: the relation's dictionary, the seed /
+  // prefilter index, and the dispatch verdicts — re-classified from id 0,
+  // since cells may have changed since the plan's last run. A multi-group
+  // dispatcher pays one dictionary scan per group, which the index narrows;
+  // a single-group one scans once anyway, so it builds no index just for
+  // the prefilter.
+  ColumnDicts dicts(relation.num_columns(), nullptr);
+  std::vector<std::unique_ptr<PatternIndex>> indexes(relation.num_columns());
+  const std::vector<size_t>& cols = plan.pattern_columns;
+  ParallelFor(options.execution, cols.size(), [&](size_t k) {
+    const size_t col = cols[k];
+    dicts[col] = &relation.dictionary(col);
+    ColumnDispatcher* cd = plan.dispatchers[col].get();
+    if (options.use_pattern_index &&
+        (index_seeds[col] || (cd != nullptr && cd->num_groups() > 1))) {
+      indexes[col] =
+          std::make_unique<PatternIndex>(relation, col, plan.automata.get());
     }
-    if (ok) verified.push_back(r);
-  }
-  return verified;
-}
-
-void DetectConstantRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item) {
-  std::vector<CellScan> scans = MakeScans(ctx, row, item);
-  const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
-  ctx.result->stats.candidate_rows += candidates.size();
-
-  for (RowId r : candidates) {
-    if (ctx.AtCap()) return;
-    detect_internal::EmitConstantViolation(*ctx.relation, pfd_index,
-                                           row_index, row, r,
-                                           &ctx.result->violations);
-  }
-}
-
-void DetectVariableRow(RunContext& ctx, size_t pfd_index, size_t row_index,
-                       const ResolvedRow& row, size_t item) {
-  std::vector<CellScan> scans = MakeScans(ctx, row, item);
-  const std::vector<RowId> candidates = CandidateRows(ctx, row, scans);
-  ctx.result->stats.candidate_rows += candidates.size();
-
-  std::map<std::string, std::vector<RowId>> groups;
-  std::string key;
-  // The reused key buffer is sized once for the row; map insertion copies
-  // it, so pre-sizing kills the grow-reallocs on every append below.
-  key.reserve(32 * row.lhs_cols.size());
-  size_t matched = 0;
-  for (RowId r : candidates) {
-    if (detect_internal::RecordKey(*ctx.relation, row, scans, r, &key)) {
-      ++matched;
-      groups[key].push_back(r);
-    }
-  }
-  if (!ctx.options->use_blocking) {
-    // The paper's quadratic reference enumerates every matched candidate
-    // pair and compares canonical keys; the comparison count is exactly
-    // C(matched, 2), accounted here without replaying the loop (the
-    // violation *set* matches the blocked variant either way — tested in
-    // detector_test / property_test).
-    ctx.result->stats.pairs_checked += matched * (matched - 1) / 2;
-  }
-  detect_internal::ResolveGroups(*ctx.relation, pfd_index, row_index, row,
-                                 groups, ctx.options->max_violations,
-                                 ctx.result);
-}
-
-/// One PFD resolved against the schema (column indices looked up once).
-struct PfdPlan {
-  const Pfd* pfd;
-  std::vector<size_t> lhs_cols;
-  std::vector<size_t> rhs_cols;
-};
-
-/// Detects one already-resolved tableau row into `ctx.result`. `item` is
-/// the work-item index (keys the dispatch cell table).
-void DetectResolvedRow(RunContext& ctx, const ResolvedRow& resolved,
-                       size_t pfd_index, size_t row_index, size_t item) {
-  const TableauRow& trow = *resolved.row;
-  if (trow.IsConstantRow()) {
-    DetectConstantRow(ctx, pfd_index, row_index, resolved, item);
-  } else if (trow.IsVariableRow()) {
-    DetectVariableRow(ctx, pfd_index, row_index, resolved, item);
-  }
-  // Rows that are neither (pattern-valued RHS) are treated as
-  // constraints on format only; format checking is the profiler's job.
-}
-
-}  // namespace
-
-namespace detect_internal {
-
-Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
-                                                const std::vector<Pfd>& pfds,
-                                                const DetectorOptions& options,
-                                                ResolvedRowSet* row_set) {
-  // Validate and resolve every PFD up front (also what the parallel path
-  // needs: the first validation error must not depend on task timing).
-  std::vector<PfdPlan> plans;
-  plans.reserve(pfds.size());
-  for (const Pfd& pfd : pfds) {
-    ANMAT_RETURN_NOT_OK(pfd.Validate(relation.schema()));
-    PfdPlan plan;
-    plan.pfd = &pfd;
-    for (const std::string& a : pfd.lhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, relation.schema().IndexOf(a));
-      plan.lhs_cols.push_back(idx);
-    }
-    for (const std::string& a : pfd.rhs_attrs()) {
-      ANMAT_ASSIGN_OR_RETURN(size_t idx, relation.schema().IndexOf(a));
-      plan.rhs_cols.push_back(idx);
-    }
-    plans.push_back(std::move(plan));
-  }
-
-  DetectionResult result;
-  result.stats.rows_scanned = relation.num_rows() * pfds.size();
-
-  // Flatten the work list: one unit per (PFD, tableau row).
-  struct WorkItem {
-    size_t plan;
-    size_t row;
-  };
-  std::vector<WorkItem> items;
-  for (size_t pi = 0; pi < plans.size(); ++pi) {
-    for (size_t ri = 0; ri < plans[pi].pfd->tableau().size(); ++ri) {
-      items.push_back(WorkItem{pi, ri});
-    }
-  }
-
-  const bool parallel = options.execution.EffectiveThreads() > 1 &&
-                        items.size() > 1 && options.max_violations == 0;
-  AutomatonCache* const automata = options.automata.get();
-
-  // Resolve the tableau rows once per `row_set` lifetime (per call when the
-  // caller passed none): the repair fixpoint loop hands the same set back
-  // for every pass, so matchers are not rebuilt per pass. A serial run
-  // always walks the shared set; a parallel run shares it only when every
-  // matcher is frozen-backed (`shareable`) — lazy matchers memoize under
-  // the const interface and must stay single-owner, so that path resolves
-  // per task below, exactly the pre-cache behavior. Without a cache a
-  // parallel run can never share rows, so resolving a set upfront would
-  // only duplicate the per-task compilation — skip it.
-  ResolvedRowSet local_rows;
-  ResolvedRowSet& rows = row_set != nullptr ? *row_set : local_rows;
-  if (!rows.resolved && (!parallel || automata != nullptr)) {
-    rows.rows.reserve(items.size());
-    bool shareable = true;
-    for (const WorkItem& item : items) {
-      const PfdPlan& plan = plans[item.plan];
-      ResolvedRow resolved =
-          ResolveRow(plan.pfd->tableau().row(item.row), plan.lhs_cols,
-                     plan.rhs_cols, plan.pfd->lhs_attrs(),
-                     plan.pfd->rhs_attrs(), automata);
-      shareable = shareable && resolved.concurrent_safe();
-      rows.rows.push_back(std::move(resolved));
-    }
-    rows.shareable = shareable;
-    rows.resolved = true;
-  }
-
-  // Multi-pattern dispatch: compile every LHS column's patterns into a few
-  // prefix-grouped union automata (shared through the engine cache) and
-  // classify each distinct value with one scan per group, instead of one
-  // automaton walk per (pattern, value). Needs resolved rows (the cell
-  // patterns), the engine cache, and dictionary mode (verdicts are per
-  // distinct value). Values must be re-classified every run — the repair
-  // fixpoint mutates cells between passes — but the automata themselves
-  // compile once per engine lifetime.
-  std::unique_ptr<DetectDispatch> dispatch;
-  if (options.use_multi_dispatch && automata != nullptr &&
-      options.use_value_dictionary && rows.resolved && !items.empty()) {
-    dispatch = std::make_unique<DetectDispatch>();
-    dispatch->cells.resize(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      const ResolvedRow& row = rows.rows[i];
-      dispatch->cells[i].assign(row.lhs_cols.size(), DispatchCell{});
-      for (size_t c = 0; c < row.lhs_cols.size(); ++c) {
-        if (row.lhs_matchers[c] == nullptr) continue;
-        ColumnDispatcher& cd = dispatch->by_col[row.lhs_cols[c]];
-        dispatch->cells[i][c].dispatcher = &cd;
-        dispatch->cells[i][c].slot =
-            cd.AddPattern(row.row->lhs[c].pattern().EmbeddedPattern());
-      }
-    }
-    std::vector<std::pair<size_t, ColumnDispatcher*>> usable;
-    for (auto& [col, cd] : dispatch->by_col) {
-      if (cd.Compile(automata)) usable.emplace_back(col, &cd);
-    }
-    if (usable.empty()) {
-      dispatch.reset();  // every column fell back to the per-pattern path
-    } else {
-      // A multi-group column pays one full-dictionary scan per group; a
-      // pattern-index prefilter narrows each group's scan to its members'
-      // candidate union (a provable superset, so skipped ids keep exact 0
-      // verdicts). Single-group columns scan the dictionary once anyway —
-      // there the index build would be pure overhead.
-      const auto classify = [&](size_t i) {
-        const size_t col = usable[i].first;
-        ColumnDispatcher* cd = usable[i].second;
-        std::unique_ptr<PatternIndex> prefilter;
-        if (options.use_pattern_index && cd->num_groups() > 1) {
-          prefilter = std::make_unique<PatternIndex>(relation, col, automata);
-        }
-        DispatchPrefilter candidates;
-        if (prefilter != nullptr) {
-          candidates = [index = prefilter.get()](
-                           const std::vector<const Pattern*>& members,
-                           uint32_t first_id) {
-            return index->CandidateValueIds(members, first_id);
-          };
-        }
-        cd->ClassifyValues(relation.dictionary(col), 0, candidates);
-      };
-      if (parallel) {
-        ParallelFor(options.execution, usable.size(), classify);
-      } else {
-        for (size_t i = 0; i < usable.size(); ++i) classify(i);
-      }
-    }
-  }
-
-  if (!parallel) {
-    RunContext ctx{&relation, &options, &result, {}, nullptr,
-                   dispatch.get()};
-    for (size_t i = 0; i < items.size(); ++i) {
-      if (ctx.AtCap()) break;
-      DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
-    }
-    SortViolations(&result.violations);
-    result.stats.violations = result.violations.size();
-    return result;
-  }
-
-  // Pre-build the seed-cell indexes the tasks will share (in parallel, one
-  // per distinct column; PatternIndex::Lookup on a const index is
-  // thread-safe). Resolving just to find the seed column is cheap relative
-  // to detection and keeps the work list simple.
-  std::map<size_t, std::unique_ptr<PatternIndex>> shared_indexes;
-  if (options.use_pattern_index) {
-    std::set<size_t> seed_cols;
-    for (const WorkItem& item : items) {
-      const PfdPlan& plan = plans[item.plan];
-      const TableauRow& trow = plan.pfd->tableau().row(item.row);
-      for (size_t i = 0; i < trow.lhs.size(); ++i) {
-        if (!trow.lhs[i].is_wildcard()) {
-          // Dispatch-covered columns seed from preset verdicts and never
-          // probe an index — skip the build.
-          const size_t col = plan.lhs_cols[i];
-          if (dispatch == nullptr || !dispatch->Covers(col)) {
-            seed_cols.insert(col);
-          }
-          break;
-        }
-      }
-    }
-    std::vector<size_t> cols(seed_cols.begin(), seed_cols.end());
-    std::vector<std::unique_ptr<PatternIndex>> built(cols.size());
-    ParallelFor(options.execution, cols.size(), [&](size_t i) {
-      built[i] = std::make_unique<PatternIndex>(relation, cols[i], automata);
-    });
-    for (size_t i = 0; i < cols.size(); ++i) {
-      shared_indexes.emplace(cols[i], std::move(built[i]));
-    }
-  }
-
-  // One task per work item, each with its own result slot; slots are merged
-  // in item order, so the outcome is byte-identical to the serial loop.
-  // Frozen-backed rows are probed in place by every task; otherwise each
-  // task resolves a private copy (lazy matchers are single-owner).
-  const bool share_rows = rows.resolved && rows.shareable;
-  std::vector<DetectionResult> slots(items.size());
-  ParallelFor(options.execution, items.size(), [&](size_t i) {
-    RunContext ctx{&relation,       &options, &slots[i],
-                   {},              &shared_indexes, dispatch.get()};
-    if (share_rows) {
-      DetectResolvedRow(ctx, rows.rows[i], items[i].plan, items[i].row, i);
-    } else {
-      // Private resolved rows still read the shared dispatch verdicts:
-      // they depend only on the (item, cell) patterns, which are
-      // identical in every resolution of the same work item.
-      const PfdPlan& plan = plans[items[i].plan];
-      ResolvedRow resolved =
-          ResolveRow(plan.pfd->tableau().row(items[i].row), plan.lhs_cols,
-                     plan.rhs_cols, plan.pfd->lhs_attrs(),
-                     plan.pfd->rhs_attrs(), automata);
-      DetectResolvedRow(ctx, resolved, items[i].plan, items[i].row, i);
+    if (cd != nullptr) {
+      cd->ClassifyValues(*dicts[col], 0, IndexPrefilter(indexes[col].get()));
     }
   });
 
-  for (DetectionResult& slot : slots) {
-    result.stats.candidate_rows += slot.stats.candidate_rows;
-    result.stats.pairs_checked += slot.stats.pairs_checked;
-    result.violations.insert(result.violations.end(),
-                             std::make_move_iterator(slot.violations.begin()),
-                             std::make_move_iterator(slot.violations.end()));
-  }
-  SortViolations(&result.violations);
-  result.stats.violations = result.violations.size();
-  return result;
+  // Absorb every row, one task per item. Candidates come from the seed
+  // cell's dispatch match ids fanned out over their postings, else from its
+  // pattern index, else from a full pass; `MatchesLhs` is the exact test.
+  const RowId num_rows = static_cast<RowId>(relation.num_rows());
+  ParallelFor(options.execution, plan.rows.size(), [&](size_t i) {
+    const ResolvedRow& row = plan.rows[i];
+    ItemState& state = states[i];
+    std::vector<RowId> seeded;
+    const std::vector<RowId>* list = nullptr;
+    if (active(row)) {
+      const size_t col = row.lhs_cols[row.seed];
+      if (const std::vector<uint32_t>* ids = state.memos[row.seed].preset_ids;
+          ids != nullptr) {
+        for (const uint32_t id : *ids) {
+          const std::vector<RowId>& rows = dicts[col]->rows(id);
+          seeded.insert(seeded.end(), rows.begin(), rows.end());
+        }
+        std::sort(seeded.begin(), seeded.end());
+        list = &seeded;
+      } else if (indexes[col] != nullptr) {
+        seeded = indexes[col]->CandidateSuperset(
+            row.row->lhs[row.seed].pattern().EmbeddedPattern(), 0);
+        list = &seeded;
+      }
+    }
+    Absorb(relation, row, dicts, list, 0, num_rows, state);
+  });
+  return Collect(relation, plan, states, options);
 }
 
 }  // namespace detect_internal
@@ -742,8 +84,10 @@ Result<DetectionResult> DetectErrorsReusingRows(const Relation& relation,
 Result<DetectionResult> DetectErrors(const Relation& relation,
                                      const std::vector<Pfd>& pfds,
                                      const DetectorOptions& options) {
-  return detect_internal::DetectErrorsReusingRows(relation, pfds, options,
-                                                  nullptr);
+  ANMAT_ASSIGN_OR_RETURN(
+      detect_internal::DetectPlan plan,
+      detect_internal::DetectPlan::Build(relation.schema(), pfds, options));
+  return detect_internal::DetectWithPlan(relation, plan, options);
 }
 
 Result<DetectionResult> DetectErrors(const Relation& relation, const Pfd& pfd,

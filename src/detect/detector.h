@@ -4,14 +4,18 @@
 /// \file detector.h
 /// Error detection with PFDs (§3 of the paper).
 ///
-/// Constant rows: scan the relation (or consult the per-column
-/// `PatternIndex`) for tuples with `t[A] ↦ tp[A]` and `t[B] ≠ tp[B]`; the
-/// suggested repair is `tp[B]` assuming the LHS is correct.
+/// Constant rows: tuples with `t[A] ↦ tp[A]` and `t[B] ≠ tp[B]` are
+/// flagged, candidates seeded from the LHS column's multi-pattern dispatch
+/// verdicts or its `PatternIndex`; the suggested repair is `tp[B]`
+/// assuming the LHS is correct.
 ///
-/// Variable rows: the reference implementation enumerates tuple pairs
-/// (quadratic — kept for benchmarking the §3 claim); the default uses
-/// blocking on the canonical extraction key, flagging minority records of
-/// each block against the block majority.
+/// Variable rows: records block on the canonical extraction key, and each
+/// block's minority is flagged against its majority. The paper's quadratic
+/// pair enumeration survives only as the `use_blocking = false` accounting.
+///
+/// Every match and extraction runs once per *distinct* column value (the
+/// relation's column dictionaries), through the detection kernel
+/// (detect_kernel.h) that `DetectionStream` shares.
 
 #include <memory>
 #include <vector>
@@ -32,33 +36,20 @@ struct DetectorOptions {
   bool use_pattern_index = true;
   /// Use blocking for variable rows (vs quadratic pair enumeration).
   bool use_blocking = true;
-  /// Match/extract each *distinct* column value once (via the relation's
-  /// column dictionaries) instead of once per row, reusing the result
-  /// across duplicate cells. The violation set is byte-identical either
-  /// way (tested in dfa_test.cc); off mainly for benchmarking.
-  bool use_value_dictionary = true;
-  /// Classify each distinct value against ALL of a column's LHS patterns
-  /// in one union-automaton scan per prefix group (src/dispatch/), instead
-  /// of one automaton walk per pattern. Effective only with `automata` set
-  /// and `use_value_dictionary` on; unfreezable unions fall back to the
-  /// per-pattern path per column. Violations and stats are byte-identical
-  /// either way (tested in dispatch_test.cc); off mainly for bench A9.
-  bool use_multi_dispatch = true;
   /// Cap on reported violations (0 = unlimited).
   size_t max_violations = 0;
   /// Parallel execution. With more than one thread, detection fans out one
   /// task per (PFD, tableau row) — the seed pattern indexes are pre-built
   /// and shared read-only — and merges per-task results in task order, so
-  /// the output is byte-identical to a serial run. `max_violations > 0`
-  /// forces the serial path (the cap's "first N found in processing order"
-  /// semantics cannot be reproduced under fan-out).
+  /// the output is byte-identical to a serial run, `max_violations`' "first
+  /// N in (PFD, tableau row) order" included.
   ExecutionOptions execution;
-  /// Shared compile-once automaton cache (pattern/automaton_cache.h).
-  /// When set, tableau matchers and index verifiers come out as shared
-  /// frozen automata: each distinct pattern is compiled once per cache
-  /// lifetime and probed lock-free by every task and pass. Null (default)
-  /// keeps the private lazy automata; results are byte-identical either
-  /// way. `anmat::Engine` installs its engine-wide cache here.
+  /// Shared compile-once automaton cache (pattern/automaton_cache.h):
+  /// tableau matchers, index verifiers and dispatch unions come out as
+  /// shared frozen automata, each compiled once per cache lifetime and
+  /// probed lock-free by every task and pass. Null (default) gives every
+  /// detection run, repair call or stream a private cache. `anmat::Engine`
+  /// installs its engine-wide cache here.
   std::shared_ptr<AutomatonCache> automata;
 };
 

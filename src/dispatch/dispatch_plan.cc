@@ -95,7 +95,15 @@ void ColumnDispatcher::ClassifyValues(const ColumnDictionary& dict,
                                       uint32_t first_id,
                                       const DispatchPrefilter& prefilter) {
   const uint32_t num_values = static_cast<uint32_t>(dict.num_values());
-  for (std::vector<int8_t>& v : verdicts_) v.resize(num_values, 0);
+  // Ids from `first_id` on are (re-)classified from scratch: a stream
+  // extends its verdicts batch by batch, a one-shot plan reclassifies
+  // from 0 on every run.
+  for (size_t s = 0; s < verdicts_.size(); ++s) {
+    verdicts_[s].resize(first_id);
+    verdicts_[s].resize(num_values, 0);
+    std::vector<uint32_t>& ids = match_ids_[s];
+    ids.erase(std::lower_bound(ids.begin(), ids.end(), first_id), ids.end());
+  }
   std::vector<uint32_t> hits;
   std::vector<uint32_t> ids;
   std::vector<const Pattern*> members;

@@ -86,10 +86,11 @@ class ColumnDispatcher {
   size_t num_groups() const { return groups_.size(); }
 
   /// Classifies dictionary values [first_id, dict.num_values()), extending
-  /// every slot's verdict vector to dict.num_values(). One frozen-table
-  /// scan per (value, group). `prefilter` (optional) narrows each group's
-  /// scan to the union of its members' candidate value ids — ids outside
-  /// provably do not match and stay 0.
+  /// every slot's verdict vector to dict.num_values() and replacing any
+  /// earlier verdicts of those ids. One frozen-table scan per (value,
+  /// group). `prefilter` (optional) narrows each group's scan to the union
+  /// of its members' candidate value ids — ids outside provably do not
+  /// match and stay 0.
   void ClassifyValues(const ColumnDictionary& dict, uint32_t first_id,
                       const DispatchPrefilter& prefilter = nullptr);
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <set>
 
-#include "detect/detector_internal.h"
+#include "detect/detect_kernel.h"
 #include "detect/suggestion_policy.h"
 
 namespace anmat {
@@ -20,17 +20,16 @@ Result<RepairResult> RepairErrors(Relation* relation,
                                      // rule interactions across passes must
                                      // not oscillate a cell back and forth
 
-  // Tableau rows depend on (pfds, schema) only, not on the mutating cell
-  // data — resolve their matchers once and reuse the set for every pass
-  // and the final verification, instead of recompiling per detection run.
-  detect_internal::ResolvedRowSet resolved_rows;
+  // The detection plan depends on (pfds, schema) only, not on the mutating
+  // cell data — build it once and reuse it for every pass and the final
+  // verification, instead of re-resolving and recompiling per pass.
+  ANMAT_ASSIGN_OR_RETURN(detect_internal::DetectPlan plan,
+                         detect_internal::DetectPlan::Build(
+                             relation->schema(), pfds, options.detector));
 
   for (size_t pass = 0; pass < options.max_passes; ++pass) {
-    ANMAT_ASSIGN_OR_RETURN(
-        DetectionResult detection,
-        detect_internal::DetectErrorsReusingRows(*relation, pfds,
-                                                 options.detector,
-                                                 &resolved_rows));
+    const DetectionResult detection =
+        detect_internal::DetectWithPlan(*relation, plan, options.detector);
     result.passes = pass + 1;
     result.remaining_violations = detection.violations.size();
     if (detection.violations.empty()) break;
@@ -86,11 +85,8 @@ Result<RepairResult> RepairErrors(Relation* relation,
 
   // Final verification pass after the last mutation; kept in the result so
   // callers need not re-detect over the repaired relation.
-  ANMAT_ASSIGN_OR_RETURN(
-      result.final_detection,
-      detect_internal::DetectErrorsReusingRows(*relation, pfds,
-                                               options.detector,
-                                               &resolved_rows));
+  result.final_detection =
+      detect_internal::DetectWithPlan(*relation, plan, options.detector);
   result.remaining_violations = result.final_detection.violations.size();
   std::sort(result.conflicted_cells.begin(), result.conflicted_cells.end());
   return result;

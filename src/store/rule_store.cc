@@ -301,16 +301,6 @@ std::string SerializeRuleSet(const std::vector<Pfd>& pfds) {
   return SerializeRuleSet(rules);
 }
 
-std::string SerializeRuleSetV1(const std::vector<Pfd>& pfds) {
-  JsonValue root = JsonValue::Object();
-  root.Set("format", JsonValue::String("anmat-rules"));
-  root.Set("version", JsonValue::Int(1));
-  JsonValue arr = JsonValue::Array();
-  for (const Pfd& p : pfds) arr.push_back(PfdToJson(p));
-  root.Set("rules", std::move(arr));
-  return root.DumpPretty();
-}
-
 Result<RuleSet> ParseRuleSet(std::string_view text) {
   ANMAT_ASSIGN_OR_RETURN(JsonValue root, ParseJson(text));
   if (!root.is_object()) {
@@ -358,12 +348,6 @@ Result<RuleSet> ParseRuleSet(std::string_view text) {
 
 Status RuleStore::Save(const RuleSet& rules) const {
   return WriteFileAtomic(path_, SerializeRuleSet(rules));
-}
-
-Status RuleStore::Save(const std::vector<Pfd>& pfds) const {
-  RuleSet rules;
-  for (const Pfd& p : pfds) rules.Add(p, {}, RuleStatus::kConfirmed);
-  return Save(rules);
 }
 
 Status CorruptStateFileError(const std::string& path, const Status& cause) {

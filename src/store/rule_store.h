@@ -131,14 +131,9 @@ Result<Pfd> PfdFromJson(const JsonValue& json);
 /// \brief Serializes a rule set in the current (v2) envelope.
 std::string SerializeRuleSet(const RuleSet& rules);
 
-/// \brief Legacy convenience: wraps bare PFDs as confirmed records and
-/// serializes them as v2 (used by the one-shot CLI forms, where persisting
-/// is the confirmation).
+/// \brief Convenience: wraps bare PFDs as confirmed records and serializes
+/// them as v2.
 std::string SerializeRuleSet(const std::vector<Pfd>& pfds);
-
-/// \brief Serializes bare PFDs in the legacy v1 envelope (migration tests
-/// and downgrade tooling only; `Save` always writes v2).
-std::string SerializeRuleSetV1(const std::vector<Pfd>& pfds);
 
 /// \brief Parses a rule set envelope. v2 loads as-is; v1 migrates (ids
 /// assigned sequentially, status confirmed, empty provenance); unknown
@@ -161,9 +156,6 @@ class RuleStore {
   /// Writes the rule set to `path()` as v2, durably (util/fs
   /// WriteFileAtomic: temp file → fsync → rename → parent-dir fsync).
   Status Save(const RuleSet& rules) const;
-
-  /// Legacy convenience: saves bare PFDs as confirmed v2 records.
-  Status Save(const std::vector<Pfd>& pfds) const;
 
   /// Loads the rule set (v1 files migrate transparently); NotFound when the
   /// file does not exist. A file that exists but does not parse — truncated,

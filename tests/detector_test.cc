@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "datagen/datasets.h"
+#include "detect/detection_stream.h"
+#include "detect_reference.h"
+#include "discovery/discovery.h"
+#include "pattern/automaton_cache.h"
 #include "pattern/pattern_parser.h"
+#include "util/random.h"
 
 namespace anmat {
 namespace {
@@ -256,6 +266,112 @@ TEST(DetectorTest, StatsPopulated) {
   EXPECT_EQ(result.stats.rows_scanned, 100u);
   EXPECT_GT(result.stats.candidate_rows, 0u);
   EXPECT_EQ(result.stats.violations, result.violations.size());
+}
+
+// -- Differential: the kernel against the row-at-a-time oracle ---------------
+
+std::string Fingerprint(const DetectionResult& result) {
+  std::string s = std::to_string(result.stats.rows_scanned) + "/" +
+                  std::to_string(result.stats.candidate_rows) + "/" +
+                  std::to_string(result.stats.pairs_checked) + "/" +
+                  std::to_string(result.stats.violations) + "\n";
+  for (const Violation& v : result.violations) {
+    s += std::to_string(static_cast<int>(v.kind)) + "|" +
+         std::to_string(v.pfd_index) + "|" + std::to_string(v.tableau_row);
+    for (const CellRef& c : v.cells) {
+      s += "," + std::to_string(c.row) + ":" + std::to_string(c.column);
+    }
+    s += "|" + std::to_string(v.suspect.row) + ":" +
+         std::to_string(v.suspect.column) + "|" + v.suggested_repair + "|" +
+         v.explanation + "\n";
+  }
+  return s;
+}
+
+/// Appends `relation` to a fresh stream in random chunks and returns the
+/// final cumulative result.
+DetectionResult StreamInChunks(const Relation& relation,
+                               const std::vector<Pfd>& rules,
+                               const DetectorOptions& options, uint64_t seed) {
+  auto stream = DetectionStream::Open(relation.schema(), rules, options);
+  EXPECT_TRUE(stream.ok()) << stream.status();
+  Rng rng(seed);
+  DetectionResult last;
+  RowId begin = 0;
+  while (begin < relation.num_rows()) {
+    const RowId remaining = static_cast<RowId>(relation.num_rows()) - begin;
+    const RowId size = static_cast<RowId>(
+        1 + rng.NextBelow(std::min<uint64_t>(remaining, 97)));
+    auto batch =
+        (*stream)->AppendBatch(relation.Slice(begin, begin + size).value());
+    EXPECT_TRUE(batch.ok()) << batch.status();
+    last = std::move(batch).value();
+    begin += size;
+  }
+  return last;
+}
+
+// Every datagen dataset x 3 seeds x {1, 4} threads x use_pattern_index x
+// use_blocking, one-shot and as random chunk-split streams, each with a
+// default cache and with a two-state freeze cap (no pattern or union
+// freezes: lazy rows probed at 4 threads, dispatch falling back). Violations
+// and stats must be byte-identical to the reference.
+TEST(DetectKernelDifferentialTest, OneShotAndStreamsMatchRowAtATimeReference) {
+  using Maker = Dataset (*)(size_t, uint64_t, double);
+  const Maker makers[] = {PhoneStateDataset, NameGenderDataset,
+                          ZipCityStateDataset, EmployeeDataset,
+                          CompoundDataset, WebAccountDataset};
+  DiscoveryOptions discovery;
+  discovery.min_coverage = 0.3;
+  discovery.allowed_violation_ratio = 0.15;
+  size_t total_violations = 0;
+  for (const Maker make : makers) {
+    for (const uint64_t seed : {11u, 12u, 13u}) {
+      const Dataset d = make(160, seed, 0.06);
+      const DiscoveryResult discovered =
+          DiscoverPfds(d.relation, discovery).value();
+      std::vector<Pfd> rules;
+      for (const DiscoveredPfd& p : discovered.pfds) rules.push_back(p.pfd);
+      ASSERT_FALSE(rules.empty()) << d.name << " seed " << seed;
+      // One default cache serves every case of this rule set (compiling a
+      // union over long UTF-8 values is the slow part); the capped ones
+      // are cheap and fresh per case.
+      const auto default_cache = std::make_shared<AutomatonCache>();
+      for (const bool use_index : {true, false}) {
+        for (const bool use_blocking : {true, false}) {
+          DetectorOptions base;
+          base.use_pattern_index = use_index;
+          base.use_blocking = use_blocking;
+          const DetectionResult expected =
+              reference::DetectRowAtATime(d.relation, rules, base).value();
+          total_violations += expected.violations.size();
+          for (const size_t threads : {size_t{1}, size_t{4}}) {
+            for (const bool capped : {false, true}) {
+              DetectorOptions options = base;
+              options.execution.num_threads = threads;
+              options.automata = capped ? std::make_shared<AutomatonCache>(2)
+                                        : default_cache;
+              const std::string where =
+                  d.name + " seed " + std::to_string(seed) + " index " +
+                  std::to_string(use_index) + " blocking " +
+                  std::to_string(use_blocking) + " threads " +
+                  std::to_string(threads) + " capped " +
+                  std::to_string(capped);
+              EXPECT_EQ(Fingerprint(DetectErrors(d.relation, rules, options)
+                                        .value()),
+                        Fingerprint(expected))
+                  << "one-shot: " << where;
+              EXPECT_EQ(Fingerprint(StreamInChunks(d.relation, rules, options,
+                                                   seed + threads + capped)),
+                        Fingerprint(expected))
+                  << "stream: " << where;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_violations, 0u);
 }
 
 }  // namespace

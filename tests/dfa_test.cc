@@ -9,6 +9,7 @@
 
 #include "datagen/datasets.h"
 #include "detect/detector.h"
+#include "detect_reference.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/frozen_dfa.h"
 #include "pattern/matcher.h"
@@ -423,7 +424,7 @@ TEST(FrozenDfaConcurrencyTest, ConcurrentProbesAreSafe) {
   EXPECT_GT(matches[0], 0u);
 }
 
-// ----------------------------------------- dictionary on/off equivalence
+// ------------------------ dictionary detection vs the row-at-a-time oracle
 
 std::string ViolationFingerprint(const Violation& v) {
   std::string s;
@@ -462,14 +463,11 @@ TEST(DetectorDictionaryTest, ByteIdenticalViolationsOnZipDataset) {
   const std::vector<Pfd> pfds = {constant_pfd, variable_pfd};
   for (bool use_index : {true, false}) {
     for (bool use_blocking : {true, false}) {
-      DetectorOptions on;
-      on.use_value_dictionary = true;
-      on.use_pattern_index = use_index;
-      on.use_blocking = use_blocking;
-      DetectorOptions off = on;
-      off.use_value_dictionary = false;
-      const auto a = DetectErrors(d.relation, pfds, on);
-      const auto b = DetectErrors(d.relation, pfds, off);
+      DetectorOptions options;
+      options.use_pattern_index = use_index;
+      options.use_blocking = use_blocking;
+      const auto a = DetectErrors(d.relation, pfds, options);
+      const auto b = reference::DetectRowAtATime(d.relation, pfds, options);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       const auto& va = a.value().violations;
@@ -481,7 +479,7 @@ TEST(DetectorDictionaryTest, ByteIdenticalViolationsOnZipDataset) {
         ASSERT_EQ(ViolationFingerprint(va[i]), ViolationFingerprint(vb[i]))
             << "violation " << i;
       }
-      // Stats must agree too: the dictionary only changes *where* work
+      // Stats must agree too: dictionaries only change *where* work
       // happens, not what is checked.
       EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
       EXPECT_EQ(a.value().stats.pairs_checked, b.value().stats.pairs_checked);

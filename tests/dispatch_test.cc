@@ -14,6 +14,7 @@
 #include "detect/detection_stream.h"
 #include "detect/detector.h"
 #include "detect/pattern_index.h"
+#include "detect_reference.h"
 #include "dispatch/dispatch_plan.h"
 #include "dispatch/pattern_trie.h"
 #include "pattern/automaton_cache.h"
@@ -467,37 +468,34 @@ std::vector<Pfd> ZipRulePerRegion() {
 TEST(DispatchDetectorTest, ByteIdenticalViolationsAtAnyThreadCount) {
   const Dataset d = ZipCityStateDataset(3000, 77, 0.05);
   const std::vector<Pfd> pfds = ZipRulePerRegion();
+  const DetectionResult expected =
+      reference::DetectRowAtATime(d.relation, pfds).value();
+  ASSERT_GT(expected.violations.size(), 0u)
+      << "test must exercise real violations";
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     for (const bool use_index : {true, false}) {
-      DetectorOptions on;
-      on.automata = std::make_shared<AutomatonCache>();
-      on.use_multi_dispatch = true;
-      on.use_pattern_index = use_index;
-      on.execution.num_threads = threads;
-      DetectorOptions off = on;
-      off.automata = std::make_shared<AutomatonCache>();
-      off.use_multi_dispatch = false;
+      DetectorOptions options;
+      options.automata = std::make_shared<AutomatonCache>();
+      options.use_pattern_index = use_index;
+      options.execution.num_threads = threads;
 
-      const auto a = DetectErrors(d.relation, pfds, on);
-      const auto b = DetectErrors(d.relation, pfds, off);
+      const auto a = DetectErrors(d.relation, pfds, options);
       ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
       const auto& va = a.value().violations;
-      const auto& vb = b.value().violations;
-      ASSERT_GT(va.size(), 0u) << "test must exercise real violations";
-      ASSERT_EQ(va.size(), vb.size())
+      ASSERT_EQ(va.size(), expected.violations.size())
           << "threads=" << threads << " index=" << use_index;
       for (size_t i = 0; i < va.size(); ++i) {
-        ASSERT_EQ(ViolationFingerprint(va[i]), ViolationFingerprint(vb[i]))
+        ASSERT_EQ(ViolationFingerprint(va[i]),
+                  ViolationFingerprint(expected.violations[i]))
             << "violation " << i;
       }
-      EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
-      EXPECT_EQ(a.value().stats.pairs_checked, b.value().stats.pairs_checked);
+      EXPECT_EQ(a.value().stats.candidate_rows,
+                expected.stats.candidate_rows);
+      EXPECT_EQ(a.value().stats.pairs_checked, expected.stats.pairs_checked);
 
-      // The union tables were actually consulted on the dispatch run.
-      EXPECT_GT(on.automata->dispatch_stats().probes, 0u)
+      // The union tables were actually consulted.
+      EXPECT_GT(options.automata->dispatch_stats().probes, 0u)
           << "threads=" << threads << " index=" << use_index;
-      EXPECT_EQ(off.automata->dispatch_stats().probes, 0u);
     }
   }
 }
@@ -522,28 +520,24 @@ TEST(DispatchStreamTest, ByteIdenticalAcrossBatchesAndToOneShot) {
   const Dataset d = ZipCityStateDataset(1200, 33, 0.05);
   const std::vector<Pfd> pfds = ZipRulePerRegion();
 
-  DetectorOptions on;
-  on.automata = std::make_shared<AutomatonCache>();
-  on.use_multi_dispatch = true;
-  DetectorOptions off = on;
-  off.automata = std::make_shared<AutomatonCache>();
-  off.use_multi_dispatch = false;
+  DetectorOptions options;
+  options.automata = std::make_shared<AutomatonCache>();
+  auto stream = DetectionStream::Open(d.relation.schema(), pfds, options);
+  ASSERT_TRUE(stream.ok()) << stream.status().message();
 
-  auto stream_on = DetectionStream::Open(d.relation.schema(), pfds, on);
-  auto stream_off = DetectionStream::Open(d.relation.schema(), pfds, off);
-  ASSERT_TRUE(stream_on.ok()) << stream_on.status().message();
-  ASSERT_TRUE(stream_off.ok());
-
+  // Every batch's cumulative result equals the row-at-a-time reference
+  // over the prefix appended so far.
   const size_t batch = 300;
-  DetectionResult last_on;
+  Relation prefix(d.relation.schema());
   for (size_t first = 0; first < d.relation.num_rows(); first += batch) {
     std::vector<std::vector<std::string>> rows;
     const size_t end = std::min(first + batch, d.relation.num_rows());
     for (size_t r = first; r < end; ++r) {
       rows.push_back(d.relation.Row(r));
+      ASSERT_TRUE(prefix.AppendRow(rows.back()).ok());
     }
-    const auto a = stream_on.value()->AppendRows(rows);
-    const auto b = stream_off.value()->AppendRows(rows);
+    const auto a = stream.value()->AppendRows(rows);
+    const auto b = reference::DetectRowAtATime(prefix, pfds);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a.value().violations.size(), b.value().violations.size());
@@ -552,19 +546,10 @@ TEST(DispatchStreamTest, ByteIdenticalAcrossBatchesAndToOneShot) {
                 ViolationFingerprint(b.value().violations[i]));
     }
     EXPECT_EQ(a.value().stats.candidate_rows, b.value().stats.candidate_rows);
-    last_on = a.value();
-  }
-
-  const auto oneshot = DetectErrors(d.relation, pfds, off);
-  ASSERT_TRUE(oneshot.ok());
-  ASSERT_EQ(last_on.violations.size(), oneshot.value().violations.size());
-  for (size_t i = 0; i < last_on.violations.size(); ++i) {
-    ASSERT_EQ(ViolationFingerprint(last_on.violations[i]),
-              ViolationFingerprint(oneshot.value().violations[i]));
+    EXPECT_EQ(a.value().stats.pairs_checked, b.value().stats.pairs_checked);
   }
   // The stream's per-batch combined scans consulted the shared tables.
-  EXPECT_GT(on.automata->dispatch_stats().probes, 0u);
-  EXPECT_EQ(off.automata->dispatch_stats().probes, 0u);
+  EXPECT_GT(options.automata->dispatch_stats().probes, 0u);
 }
 
 TEST(DispatchStreamTest, CleanOnIngestIdenticalWithDispatch) {
@@ -573,9 +558,10 @@ TEST(DispatchStreamTest, CleanOnIngestIdenticalWithDispatch) {
 
   DetectorOptions on;
   on.automata = std::make_shared<AutomatonCache>();
+  // A two-state freeze cap: no pattern or union freezes, so every cell
+  // falls back to its own lazy automaton (the per-pattern path).
   DetectorOptions off = on;
-  off.automata = std::make_shared<AutomatonCache>();
-  off.use_multi_dispatch = false;
+  off.automata = std::make_shared<AutomatonCache>(2);
 
   auto stream_on = DetectionStream::Open(d.relation.schema(), pfds, on);
   auto stream_off = DetectionStream::Open(d.relation.schema(), pfds, off);
@@ -611,8 +597,22 @@ TEST(DispatchStreamTest, CleanOnIngestIdenticalWithDispatch) {
     EXPECT_EQ(stream_on.value()->conflicts().size(),
               stream_off.value()->conflicts().size());
   }
-  // Both streams applied real repairs (the workload has errors).
+  // Both streams applied real repairs (the workload has errors), and only
+  // the uncapped one classified through union tables.
   EXPECT_GT(stream_on.value()->repairs().size(), 0u);
+  EXPECT_GT(on.automata->dispatch_stats().probes, 0u);
+  EXPECT_EQ(off.automata->dispatch_stats().probes, 0u);
+  // The cumulative violations over the cleaned relation match the oracle.
+  const DetectionResult expected =
+      reference::DetectRowAtATime(stream_on.value()->relation(), pfds)
+          .value();
+  const auto last = stream_on.value()->AppendRows({});
+  ASSERT_TRUE(last.ok());
+  ASSERT_EQ(last.value().violations.size(), expected.violations.size());
+  for (size_t i = 0; i < expected.violations.size(); ++i) {
+    ASSERT_EQ(ViolationFingerprint(last.value().violations[i]),
+              ViolationFingerprint(expected.violations[i]));
+  }
 }
 
 }  // namespace

@@ -280,33 +280,42 @@ TEST(EngineParallelTest, ZeroMeansHardwareThreads) {
 
 // -- Frozen/cached automata == lazy automata -------------------------------
 
-// Acceptance: the cached path (frozen shared automata + resolved-row reuse)
-// must be byte-identical to the plain lazy path for detection AND repair,
-// at 1/2/4/8 threads.
+// Acceptance: the cached path (frozen shared automata + plan reuse) must be
+// byte-identical to the lazy path for detection AND repair, at 1/2/4/8
+// threads.
 TEST(EngineAutomatonCacheTest, FrozenCachedPathByteIdenticalToLazy) {
+  // A two-state freeze cap: no pattern or union freezes, so every matcher
+  // keeps a private lazy automaton and dispatch falls back per pattern.
+  const auto lazy_cache = [] { return std::make_shared<AutomatonCache>(2); };
   for (const Dataset& d : TestDatasets()) {
     const std::vector<Pfd> rules = DiscoverRules(d.relation);
     ASSERT_FALSE(rules.empty()) << d.name;
 
-    // Lazy serial references: no cache anywhere.
-    auto lazy_detection = DetectErrors(d.relation, rules);
+    // Lazy serial references.
+    DetectorOptions lazy_options;
+    lazy_options.automata = lazy_cache();
+    auto lazy_detection = DetectErrors(d.relation, rules, lazy_options);
     ASSERT_TRUE(lazy_detection.ok());
     const std::string expected_detection =
         Fingerprint(lazy_detection.value());
     Relation lazy_relation = d.relation;
-    RepairResult lazy_repair = RepairErrors(&lazy_relation, rules).value();
+    RepairOptions lazy_repair_options;
+    lazy_repair_options.detector = lazy_options;
+    RepairResult lazy_repair =
+        RepairErrors(&lazy_relation, rules, lazy_repair_options).value();
     const std::string expected_repair = Fingerprint(lazy_repair);
     const std::string expected_relation = Fingerprint(lazy_relation);
 
     for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       DetectorOptions options;
       options.execution.num_threads = threads;
-      // Cache-less parallel detection (per-task private lazy matchers)
-      // must agree too — the pre-cache fan-out path stays exercised.
+      // Parallel detection over lazy rows must agree too: each item's
+      // lazy matchers are probed by one task only.
+      options.automata = lazy_cache();
       auto uncached = DetectErrors(d.relation, rules, options);
       ASSERT_TRUE(uncached.ok());
       EXPECT_EQ(Fingerprint(uncached.value()), expected_detection)
-          << d.name << " with " << threads << " threads (uncached)";
+          << d.name << " with " << threads << " threads (lazy)";
       options.automata = std::make_shared<AutomatonCache>();
       auto detection = DetectErrors(d.relation, rules, options);
       ASSERT_TRUE(detection.ok());
@@ -338,10 +347,9 @@ TEST(EngineAutomatonCacheTest, RepairPassesReuseCompiledAutomata) {
   const size_t misses_after_first = engine.automata().misses();
   const size_t hits_after_first = engine.automata().hits();
   EXPECT_GT(misses_after_first, 0u);
-  // A repair run detects at least twice (pass + final verification); with
-  // resolved rows cached across passes and the engine cache behind them,
-  // the second detection re-resolves nothing — hits come from index
-  // verification and any fallback resolution, and nothing recompiles.
+  // A repair run detects at least twice (pass + final verification); the
+  // detection plan is built once per repair call, so the later passes
+  // resolve nothing and nothing recompiles.
   EXPECT_GT(hits_after_first + misses_after_first, 0u);
 
   // A second full repair over the same rules compiles NOTHING new: every
@@ -473,16 +481,6 @@ TEST(DetectionStreamTest, RejectsMaxViolations) {
   Engine engine;
   DetectorOptions options;
   options.max_violations = 10;
-  auto stream = engine.OpenStream(d.relation.schema(), rules, options);
-  EXPECT_FALSE(stream.ok());
-}
-
-TEST(DetectionStreamTest, RejectsDisabledValueDictionary) {
-  const Dataset d = ZipCityStateDataset(100, 215, 0.0);
-  const std::vector<Pfd> rules = DiscoverRules(d.relation);
-  Engine engine;
-  DetectorOptions options;
-  options.use_value_dictionary = false;
   auto stream = engine.OpenStream(d.relation.schema(), rules, options);
   EXPECT_FALSE(stream.ok());
 }

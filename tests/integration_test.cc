@@ -48,12 +48,15 @@ TEST(IntegrationTest, DiscoveredRulesSurviveStoreRoundTrip) {
   ASSERT_FALSE(result.pfds.empty());
 
   std::vector<Pfd> rules;
-  for (const DiscoveredPfd& p : result.pfds) rules.push_back(p.pfd);
+  RuleSet confirmed;
+  for (const DiscoveredPfd& p : result.pfds) {
+    rules.push_back(p.pfd);
+    confirmed.Add(p.pfd, {}, RuleStatus::kConfirmed);
+  }
 
   const std::string path = ::testing::TempDir() + "/anmat_rules_it.json";
   RuleStore store(path);
-  ASSERT_TRUE(store.Save(rules).ok());
-  // Bare-PFD saves land in the v2 store as confirmed records.
+  ASSERT_TRUE(store.Save(confirmed).ok());
   std::vector<Pfd> loaded = store.Load().value().ConfirmedPfds();
   ASSERT_EQ(loaded.size(), rules.size());
 

@@ -30,6 +30,18 @@ Pfd SamplePfd() {
   return Pfd::Simple("Zip", "zip", "city", t);
 }
 
+/// A v1 rule file as releases before the v2 envelope wrote it: bare PFDs,
+/// no ids, statuses or provenance.
+std::string V1RuleFile(const std::vector<Pfd>& pfds) {
+  JsonValue root = JsonValue::Object();
+  root.Set("format", JsonValue::String("anmat-rules"));
+  root.Set("version", JsonValue::Int(1));
+  JsonValue rules = JsonValue::Array();
+  for (const Pfd& p : pfds) rules.push_back(PfdToJson(p));
+  root.Set("rules", std::move(rules));
+  return root.DumpPretty();
+}
+
 RuleProvenance SampleProvenance() {
   RuleProvenance p;
   p.source = "zips.csv";
@@ -156,7 +168,7 @@ TEST(RuleSetTest, UnknownStatusRejected) {
 // -- v1 -> v2 migration ----------------------------------------------------
 
 TEST(RuleSetMigrationTest, LegacyV1FilesLoadAsConfirmed) {
-  const std::string v1 = SerializeRuleSetV1({SamplePfd(), SamplePfd()});
+  const std::string v1 = V1RuleFile({SamplePfd(), SamplePfd()});
   EXPECT_NE(v1.find("\"version\": 1"), std::string::npos);
   RuleSet migrated = ParseRuleSet(v1).value();
   ASSERT_EQ(migrated.size(), 2u);
@@ -171,7 +183,7 @@ TEST(RuleSetMigrationTest, LegacyV1FilesLoadAsConfirmed) {
 }
 
 TEST(RuleSetMigrationTest, MigratedSetsReSaveAsV2) {
-  const std::string v1 = SerializeRuleSetV1({SamplePfd()});
+  const std::string v1 = V1RuleFile({SamplePfd()});
   RuleSet migrated = ParseRuleSet(v1).value();
   const std::string v2 = SerializeRuleSet(migrated);
   EXPECT_NE(v2.find("\"version\": 2"), std::string::npos);
@@ -187,7 +199,7 @@ TEST(RuleSetMigrationTest, LegacyStoreFileRoundTripsThroughV2) {
       ::testing::TempDir() + "/anmat_rules_migrate.json";
   {
     // Write a v1 file the way an old release would have.
-    std::string v1 = SerializeRuleSetV1({SamplePfd()});
+    std::string v1 = V1RuleFile({SamplePfd()});
     FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fwrite(v1.data(), 1, v1.size(), f);
@@ -232,17 +244,6 @@ TEST(RuleStoreTest, SaveAndLoadFile) {
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded.records()[0].status, RuleStatus::kDiscovered);
   EXPECT_TRUE(loaded.records()[0].pfd == SamplePfd());
-  std::remove(path.c_str());
-}
-
-TEST(RuleStoreTest, LegacyPfdVectorSaveIsConfirmedV2) {
-  const std::string path = ::testing::TempDir() + "/anmat_rules_vec.json";
-  RuleStore store(path);
-  ASSERT_TRUE(store.Save(std::vector<Pfd>{SamplePfd()}).ok());
-  RuleSet loaded = store.Load().value();
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.records()[0].status, RuleStatus::kConfirmed);
-  EXPECT_EQ(loaded.ConfirmedPfds().size(), 1u);
   std::remove(path.c_str());
 }
 

@@ -501,8 +501,13 @@ int CmdDiscoverOneShot(const ParsedArgs& args) {
                   << stats.rows_after << " tableau rows\n";
       }
     }
+    // Persisting the one-shot discovery is its confirmation.
+    anmat::RuleSet confirmed;
+    for (const anmat::Pfd& p : rules) {
+      confirmed.Add(p, {}, anmat::RuleStatus::kConfirmed);
+    }
     anmat::RuleStore store(args.Get("rules"));
-    if (anmat::Status s = store.Save(rules); !s.ok()) return Fail(s);
+    if (anmat::Status s = store.Save(confirmed); !s.ok()) return Fail(s);
     // Keep stdout pure JSON under --format json (pipeable into jq).
     if (!FlagJson(args)) {
       std::cout << "\nsaved " << rules.size() << " rule(s) to "
