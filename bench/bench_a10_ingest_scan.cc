@@ -1,4 +1,4 @@
-// A10 — zero-copy columnar ingest and vectorized scan kernels.
+// A10 — zero-copy columnar ingest and frozen scan prefilters.
 //
 // File ingest used to slurp the file into a std::string and then copy
 // every cell into its own owned std::string — two copies of every byte
@@ -7,16 +7,15 @@
 // (simd::FindStructural) and stores unquoted cells as `string_view`s
 // straight into the mapping (the relation's arena adopts the map; escaped
 // cells are unescaped once into the arena). On the scan side the frozen
-// automata (frozen_dfa.h, multi_pattern_dfa.h) classify input 16 bytes per
-// iteration (simd::ClassifyBytes) and reject values missing their
-// mandatory literal with one memchr-anchored scan before touching the
-// transition table.
+// automata (frozen_dfa.h) walk one table lookup per byte and reject values
+// missing their mandatory literal with one memchr-anchored scan before
+// touching the transition table.
 //
 // Content: ingest throughput (MB/s) for the copying parser vs the
 // zero-copy reader on the same on-disk CSV — with cell-for-cell byte
 // identity and identical detection results asserted — plus peak-RSS
 // readings around each ingest, and scan throughput (values/s) for the
-// lazy DFA vs the frozen vectorized walk on short values, page-sized
+// lazy DFA vs the frozen table walk on short values, page-sized
 // values and a prefilter-heavy workload.
 // Performance: the same comparisons as google-benchmark timings
 // (tools/bench.sh writes BENCH_A10.json). ANMAT_BENCH_QUICK=1 shrinks
@@ -137,7 +136,7 @@ double Throughput(double window_secs, size_t units_per_call, Fn&& fn) {
 
 void ReproduceContent() {
   Banner("A10",
-         "zero-copy mmap ingest vs copying parse; vectorized frozen scans "
+         "zero-copy mmap ingest vs copying parse; frozen table scans "
          "and literal prefilters");
   const double window = anmat_bench::QuickMode() ? 0.1 : 0.5;
   const std::string path = "/tmp/anmat_bench_a10.csv";
@@ -194,7 +193,7 @@ void ReproduceContent() {
             << " identical violations\n";
   std::remove(path.c_str());
 
-  // ---- scan kernels: lazy walk vs frozen vectorized walk ----
+  // ---- scan kernels: lazy walk vs frozen table walk ----
   struct ScanWorkload {
     std::string name;
     std::string pattern;
@@ -212,7 +211,7 @@ void ReproduceContent() {
     workloads.push_back(std::move(w));
   }
   {
-    // Page-sized values: the chunked ClassifyBytes path dominates.
+    // Page-sized values: the per-byte table walk dominates.
     ScanWorkload w;
     w.name = "digits (4KiB values)";
     w.pattern = "\\D+";
@@ -306,25 +305,6 @@ void BM_IngestCopying(benchmark::State& state) {
 BENCHMARK(BM_IngestZeroCopy)->Arg(20000)->Arg(100000);
 BENCHMARK(BM_IngestCopying)->Arg(20000)->Arg(100000);
 
-void BM_ClassifyBytes(benchmark::State& state) {
-  // \D+ stays live across the whole 64KiB buffer, so the walk covers every
-  // byte (a bounded pattern would dead-state after a few transitions).
-  const anmat::Dfa dfa =
-      anmat::Dfa::Compile(anmat::ParsePattern("\\D+").value());
-  auto frozen = dfa.Freeze();
-  std::string input;
-  anmat::Rng rng(3);
-  for (int i = 0; i < 1 << 16; ++i) {
-    input.push_back(static_cast<char>('0' + rng.NextBelow(10)));
-  }
-  for (auto _ : state) {
-    size_t m = frozen->Matches(input) ? 1 : 0;
-    benchmark::DoNotOptimize(m);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(input.size()));
-}
-
 void BM_PrefilterReject(benchmark::State& state) {
   // Values that lack the mandatory literal: the frozen walk is one
   // memchr-backed scan per value.
@@ -344,7 +324,6 @@ void BM_PrefilterReject(benchmark::State& state) {
                           static_cast<int64_t>(values.size()));
 }
 
-BENCHMARK(BM_ClassifyBytes);
 BENCHMARK(BM_PrefilterReject);
 
 }  // namespace

@@ -10,10 +10,10 @@
 /// value. A `ColumnDispatcher` collects every embedded pattern probing one
 /// column, deduplicates by element-sequence signature into *slots*, groups
 /// the slots by shared prefixes (`PatternTrie`) into a few union automata
-/// (shared through `AutomatonCache::GetUnion`), and classifies each
-/// distinct value with ONE forward scan per group — filling an exact 0/1
-/// verdict vector per slot that the detection hot paths read instead of
-/// calling per-pattern matchers.
+/// (multi-member `FrozenDfa`s shared through `AutomatonCache::GetUnion`),
+/// and classifies each distinct value with ONE forward scan per group —
+/// filling an exact 0/1 verdict vector per slot that the detection hot
+/// paths read instead of calling per-pattern matchers.
 ///
 /// Verdicts are exact (a union automaton's accept set equals the member-
 /// by-member match decisions), so candidate sets, violations and stats are
@@ -112,9 +112,9 @@ class ColumnDispatcher {
 
  private:
   struct Group {
-    std::shared_ptr<const FrozenMultiDfa> dfa;
+    std::shared_ptr<const FrozenDfa> dfa;
     std::vector<uint32_t> slots;    ///< member slots, trie-group order
-    std::vector<uint32_t> to_slot;  ///< automaton pattern id -> slot
+    std::vector<uint32_t> to_slot;  ///< automaton member id -> slot
   };
 
   std::vector<Pattern> slots_;  ///< one representative pattern per slot

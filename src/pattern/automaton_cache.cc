@@ -12,32 +12,39 @@ std::string AutomatonCache::KeyOf(const Pattern& p) {
   return key;
 }
 
-std::shared_ptr<const FrozenDfa> AutomatonCache::Get(const Pattern& p) {
-  std::string key = KeyOf(p);
+std::shared_ptr<const FrozenDfa> AutomatonCache::GetOrCompile(
+    Table AutomatonCache::*table, std::string key,
+    const std::vector<const Pattern*>& members) {
   {
     MutexLock lock(&mu_);
-    auto it = dfas_.find(key);
-    if (it != dfas_.end()) {
-      ++hits_;
+    Table& t = this->*table;
+    auto it = t.dfas.find(key);
+    if (it != t.dfas.end()) {
+      ++t.hits;
       return it->second;
     }
   }
-  // Compile outside the lock so first-touches of *distinct* patterns do not
-  // serialize; a same-pattern race compiles twice and the first publish
-  // wins (the loser's automaton is discarded).
+  // Compile outside the lock so first-touches of *distinct* keys do not
+  // serialize; a same-key race compiles twice and the first publish wins
+  // (the loser's automaton is discarded).
   std::shared_ptr<const FrozenDfa> frozen =
-      Dfa::Compile(p).Freeze(max_frozen_states_);
+      Dfa(members).Freeze(max_frozen_states_);
   MutexLock lock(&mu_);
-  auto [it, inserted] = dfas_.emplace(std::move(key), std::move(frozen));
-  ++misses_;
-  if (inserted && it->second == nullptr) ++fallbacks_;
+  Table& t = this->*table;
+  auto [it, inserted] = t.dfas.emplace(std::move(key), std::move(frozen));
+  ++t.misses;
+  if (inserted && it->second == nullptr) ++t.fallbacks;
   return it->second;
+}
+
+std::shared_ptr<const FrozenDfa> AutomatonCache::Get(const Pattern& p) {
+  return GetOrCompile(&AutomatonCache::singles_, KeyOf(p), {&p});
 }
 
 UnionAutomaton AutomatonCache::GetUnion(
     const std::vector<const Pattern*>& patterns) {
   // Signature-sorted, deduplicated member set: the key (and the automaton's
-  // internal pattern ids) are insensitive to argument order, so detectors
+  // member ids) are insensitive to argument order, so detectors
   // and streams that assemble the same rule set differently share one
   // table. Signatures may contain any byte (literals), so the key joins
   // them length-prefixed rather than with a separator byte.
@@ -59,16 +66,6 @@ UnionAutomaton AutomatonCache::GetUnion(
         std::lower_bound(sorted.begin(), sorted.end(), sigs[i]) -
         sorted.begin());
   }
-  {
-    MutexLock lock(&mu_);
-    auto it = unions_.find(key);
-    if (it != unions_.end()) {
-      ++union_hits_;
-      result.dfa = it->second;
-      return result;
-    }
-  }
-  // Compile outside the lock (same first-publish-wins protocol as Get).
   // One representative Pattern per distinct signature, in signature order.
   std::vector<const Pattern*> members(sorted.size(), nullptr);
   for (size_t i = 0; i < patterns.size(); ++i) {
@@ -76,27 +73,21 @@ UnionAutomaton AutomatonCache::GetUnion(
       members[result.slot_of[i]] = patterns[i];
     }
   }
-  std::shared_ptr<const FrozenMultiDfa> frozen =
-      MultiPatternDfa(members).Freeze(max_frozen_states_);
-  MutexLock lock(&mu_);
-  auto [it, inserted] = unions_.emplace(std::move(key), std::move(frozen));
-  ++union_misses_;
-  if (inserted && it->second == nullptr) ++union_fallbacks_;
-  result.dfa = it->second;
+  result.dfa = GetOrCompile(&AutomatonCache::unions_, std::move(key), members);
   return result;
 }
 
 DispatchStats AutomatonCache::dispatch_stats() const {
   MutexLock lock(&mu_);
   DispatchStats stats;
-  stats.fallbacks = union_fallbacks_;
-  stats.hits = union_hits_;
-  stats.misses = union_misses_;
-  for (const auto& [key, dfa] : unions_) {
+  stats.fallbacks = unions_.fallbacks;
+  stats.hits = unions_.hits;
+  stats.misses = unions_.misses;
+  for (const auto& [key, dfa] : unions_.dfas) {
     if (!dfa) continue;
     ++stats.automata;
     stats.total_states += dfa->num_states();
-    stats.total_patterns += dfa->num_patterns();
+    stats.total_patterns += dfa->num_members();
     stats.pool_bytes += dfa->pool_bytes();
     stats.probes += dfa->probes();
     stats.probe_hits += dfa->hits();
@@ -106,22 +97,22 @@ DispatchStats AutomatonCache::dispatch_stats() const {
 
 size_t AutomatonCache::entries() const {
   MutexLock lock(&mu_);
-  return dfas_.size();
+  return singles_.dfas.size();
 }
 
 size_t AutomatonCache::hits() const {
   MutexLock lock(&mu_);
-  return hits_;
+  return singles_.hits;
 }
 
 size_t AutomatonCache::misses() const {
   MutexLock lock(&mu_);
-  return misses_;
+  return singles_.misses;
 }
 
 size_t AutomatonCache::fallbacks() const {
   MutexLock lock(&mu_);
-  return fallbacks_;
+  return singles_.fallbacks;
 }
 
 }  // namespace anmat

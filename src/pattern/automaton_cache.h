@@ -20,12 +20,14 @@
 /// in conjuncts share the main automaton, and each conjunct is its own
 /// entry.
 ///
-/// Besides single-pattern automata, the cache holds *union* automata
-/// (pattern/multi_pattern_dfa.h): `GetUnion` maps the sorted set of
-/// member element-sequence signatures to one `FrozenMultiDfa`, so every
-/// detector / stream that dispatches the same rule set (regardless of rule
-/// order) shares a single compiled table. The per-call member ordering is
-/// translated through the returned slot map.
+/// Besides single-pattern automata, the cache holds *union* automata —
+/// the same `FrozenDfa` type compiled over several members: `GetUnion`
+/// maps the sorted set of member element-sequence signatures to one
+/// table, so every detector / stream that dispatches the same rule set
+/// (regardless of rule order) shares a single compiled table. The
+/// per-call member ordering is translated through the returned slot map.
+/// Both lookups share one compile-and-publish path but keep separate
+/// tables, keys and counters.
 ///
 /// Unfreezable patterns (reachable states above the freeze cap) are
 /// negatively cached: `Get` returns null and callers fall back to private
@@ -45,9 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pattern/multi_pattern_dfa.h"
 #include "pattern/dfa.h"
-#include "pattern/frozen_dfa.h"
 #include "pattern/pattern.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -55,12 +55,12 @@
 namespace anmat {
 
 /// \brief A shared union automaton plus the caller-order translation:
-/// member i of the `GetUnion` argument list is automaton pattern id
+/// member i of the `GetUnion` argument list is automaton member id
 /// `slot_of[i]` (signature-sorted internally, so order-insensitive keys
 /// share one table). `dfa == nullptr` means the union is unfreezable and
 /// the caller must use the per-pattern path.
 struct UnionAutomaton {
-  std::shared_ptr<const FrozenMultiDfa> dfa;
+  std::shared_ptr<const FrozenDfa> dfa;
   std::vector<uint32_t> slot_of;
 };
 
@@ -118,21 +118,28 @@ class AutomatonCache {
   DispatchStats dispatch_stats() const;
 
  private:
+  /// One keyed store of frozen automata; a null value is the negative
+  /// cache for unfreezable keys.
+  struct Table {
+    std::unordered_map<std::string, std::shared_ptr<const FrozenDfa>> dfas;
+    size_t hits = 0;
+    size_t misses = 0;
+    size_t fallbacks = 0;
+  };
+
+  /// The shared lookup: returns `table`'s entry for `key`, compiling and
+  /// freezing the union of `members` outside the lock on a miss (a
+  /// same-key race compiles twice and the first publish wins).
+  std::shared_ptr<const FrozenDfa> GetOrCompile(
+      Table AutomatonCache::*table, std::string key,
+      const std::vector<const Pattern*>& members);
+
   const size_t max_frozen_states_;
   mutable Mutex mu_;
-  /// Signature -> frozen automaton; a null value is the negative cache for
-  /// unfreezable patterns.
-  std::unordered_map<std::string, std::shared_ptr<const FrozenDfa>> dfas_
-      ANMAT_GUARDED_BY(mu_);
-  /// Sorted-signature-set key -> frozen union automaton (null = negative).
-  std::unordered_map<std::string, std::shared_ptr<const FrozenMultiDfa>>
-      unions_ ANMAT_GUARDED_BY(mu_);
-  size_t hits_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t misses_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t fallbacks_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t union_hits_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t union_misses_ ANMAT_GUARDED_BY(mu_) = 0;
-  size_t union_fallbacks_ ANMAT_GUARDED_BY(mu_) = 0;
+  /// Element-sequence signature -> single-pattern automaton.
+  Table singles_ ANMAT_GUARDED_BY(mu_);
+  /// Sorted-signature-set key -> union automaton.
+  Table unions_ ANMAT_GUARDED_BY(mu_);
 };
 
 }  // namespace anmat

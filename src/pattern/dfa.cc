@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/simd.h"
-
 namespace anmat {
 
 namespace {
@@ -18,53 +16,112 @@ uint64_t HashSet(const std::vector<uint32_t>& set) {
   return h;
 }
 
-}  // namespace
-
-Dfa Dfa::Compile(const Pattern& p) {
-  Dfa dfa(Nfa::Compile(p));
-  dfa.required_literal_ = RequiredLiteralSubstring(p.elements());
-  return dfa;
+/// Longest common substring of two needles (classic O(|a|·|b|) rolling-row
+/// DP — needles are capped at 64 bytes by RequiredLiteralSubstring, so this
+/// is construction-time noise).
+std::string LongestCommonSubstring(const std::string& a,
+                                   const std::string& b) {
+  if (a.empty() || b.empty()) return {};
+  std::vector<uint32_t> prev(b.size() + 1, 0), row(b.size() + 1, 0);
+  size_t best_len = 0, best_end = 0;  // end position in `a`
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      row[j] = a[i - 1] == b[j - 1] ? prev[j - 1] + 1 : 0;
+      if (row[j] > best_len) {
+        best_len = row[j];
+        best_end = i;
+      }
+    }
+    std::swap(prev, row);
+  }
+  return a.substr(best_end - best_len, best_len);
 }
 
-Dfa::Dfa(Nfa nfa) : nfa_(std::move(nfa)) {
+}  // namespace
+
+Dfa::Dfa(const std::vector<const Pattern*>& members) {
+  // Lay the member NFAs side by side in one merged state space.
+  base_.push_back(0);
+  std::vector<uint32_t> start_set;
+  for (size_t m = 0; m < members.size(); ++m) {
+    nfas_.push_back(Nfa::Compile(*members[m]));
+    const Nfa& nfa = nfas_.back();
+    std::vector<uint32_t> closed{nfa.start()};
+    nfa.EpsilonClosure(&closed);
+    for (uint32_t s : closed) start_set.push_back(base_.back() + s);
+    accept_member_.resize(base_.back() + nfa.num_states(), -1);
+    accept_member_[base_.back() + nfa.accept()] = static_cast<int32_t>(m);
+    base_.push_back(base_.back() + static_cast<uint32_t>(nfa.num_states()));
+  }
+  table_.num_members = static_cast<uint32_t>(members.size());
+  // Prefilter: a substring guaranteed by *every* member is guaranteed for
+  // any accepted string regardless of which member accepts it, so fold the
+  // members' required literals under longest-common-substring. One member
+  // with no guaranteed literal sinks the whole filter.
+  for (size_t m = 0; m < members.size(); ++m) {
+    std::string lit = RequiredLiteralSubstring(members[m]->elements());
+    table_.prefilter = m == 0 ? std::move(lit)
+                              : LongestCommonSubstring(table_.prefilter, lit);
+    if (table_.prefilter.empty()) break;
+  }
   BuildAlphabet();
-  // State 0 is the dead state (empty NFA set): all edges loop on itself and
-  // never need lazy materialization.
+  // State 0 is the dead state (empty NFA set, empty accept set): all edges
+  // loop on itself and never need lazy materialization.
+  pool_entry_of_[{}] = 0;
   nfa_sets_.emplace_back();
-  accept_.push_back(0);
-  transitions_.assign(num_classes_, kDead);
-  std::vector<uint32_t> start{nfa_.start()};
-  nfa_.EpsilonClosure(&start);
-  start_state_ = AddDfaState(std::move(start));
+  table_.accept_ref.push_back(0);
+  table_.transitions.assign(table_.num_classes, kDead);
+  table_.start = AddDfaState(std::move(start_set));
 }
 
 void Dfa::BuildAlphabet() {
-  // Two bytes are interchangeable iff every transition predicate of the NFA
-  // treats them identically. Predicates are either a tree class (decided by
-  // ClassOfChar) or a literal comparison (decided by identity with a byte
-  // the pattern mentions), so the fingerprint of byte b is its tree class
-  // plus, when the pattern uses b as a literal, b itself.
+  // Two bytes are interchangeable iff every transition predicate of every
+  // member NFA treats them identically. Predicates are either a tree class
+  // (decided by ClassOfChar) or a literal comparison (decided by identity
+  // with a byte some member mentions), so the fingerprint of byte b is its
+  // tree class plus, when a member uses b as a literal, b itself.
   bool is_literal[256] = {};
-  for (const Nfa::State& state : nfa_.states()) {
-    for (const Nfa::Transition& t : state.transitions) {
-      if (t.cls == SymbolClass::kLiteral) {
-        is_literal[static_cast<unsigned char>(t.literal)] = true;
+  for (const Nfa& nfa : nfas_) {
+    for (const Nfa::State& state : nfa.states()) {
+      for (const Nfa::Transition& t : state.transitions) {
+        if (t.cls == SymbolClass::kLiteral) {
+          is_literal[static_cast<unsigned char>(t.literal)] = true;
+        }
       }
     }
   }
   int fingerprint_class[512];
   std::fill(std::begin(fingerprint_class), std::end(fingerprint_class), -1);
-  num_classes_ = 0;
-  class_rep_.clear();
+  uint32_t num_classes = 0;
   for (int b = 0; b < 256; ++b) {
     const char c = static_cast<char>(b);
     const int fp =
         is_literal[b] ? 256 + b : static_cast<int>(ClassOfChar(c));
     if (fingerprint_class[fp] < 0) {
-      fingerprint_class[fp] = static_cast<int>(num_classes_++);
+      fingerprint_class[fp] = static_cast<int>(num_classes++);
       class_rep_.push_back(c);
     }
-    byte_class_[b] = static_cast<uint8_t>(fingerprint_class[fp]);
+    table_.byte_class[b] = static_cast<uint8_t>(fingerprint_class[fp]);
+  }
+  table_.num_classes = num_classes;
+}
+
+void Dfa::Step(const std::vector<uint32_t>& from, char c,
+               std::vector<uint32_t>* to) const {
+  // `from` is sorted, so each member's slice is contiguous; stepping the
+  // slices in member order keeps `to` sorted too.
+  to->clear();
+  std::vector<uint32_t> slice, next;
+  for (size_t i = 0; i < from.size();) {
+    const size_t m =
+        std::upper_bound(base_.begin(), base_.end(), from[i]) - base_.begin() -
+        1;
+    slice.clear();
+    for (; i < from.size() && from[i] < base_[m + 1]; ++i) {
+      slice.push_back(from[i] - base_[m]);
+    }
+    nfas_[m].Step(slice, c, &next);
+    for (uint32_t s : next) to->push_back(base_[m] + s);
   }
 }
 
@@ -74,56 +131,72 @@ uint32_t Dfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
     if (hash == h && nfa_sets_[id] == nfa_set) return id;
   }
   const uint32_t id = static_cast<uint32_t>(nfa_sets_.size());
-  accept_.push_back(std::binary_search(nfa_set.begin(), nfa_set.end(),
-                                       nfa_.accept())
-                        ? 1
-                        : 0);
+  // Intern the accept set. States are added in id order, so pool entries
+  // are numbered by first appearance.
+  std::vector<uint32_t> accepts;
+  for (uint32_t s : nfa_set) {
+    if (accept_member_[s] >= 0) {
+      accepts.push_back(static_cast<uint32_t>(accept_member_[s]));
+    }
+  }
+  const auto [entry, inserted] = pool_entry_of_.emplace(
+      accepts, static_cast<uint32_t>(table_.pool_offsets.size() - 1));
+  if (inserted) {
+    table_.pool_ids.insert(table_.pool_ids.end(), accepts.begin(),
+                           accepts.end());
+    table_.pool_offsets.push_back(
+        static_cast<uint32_t>(table_.pool_ids.size()));
+  }
+  table_.accept_ref.push_back(entry->second);
   nfa_sets_.push_back(std::move(nfa_set));
   set_index_.emplace_back(h, id);
-  transitions_.resize(transitions_.size() + num_classes_, kUnset);
+  table_.transitions.resize(table_.transitions.size() + table_.num_classes,
+                            kUnset);
   return id;
 }
 
 uint32_t Dfa::Transition(uint32_t from, uint32_t cls) const {
-  const size_t idx = static_cast<size_t>(from) * num_classes_ + cls;
-  const uint32_t cached = transitions_[idx];
+  const size_t idx = static_cast<size_t>(from) * table_.num_classes + cls;
+  const uint32_t cached = table_.transitions[idx];
   if (cached != kUnset) return cached;
   std::vector<uint32_t> to;
-  // Any byte of the class drives the NFA identically; use the
+  // Any byte of the class drives the NFAs identically; use the
   // representative. Step() sorts, dedupes and epsilon-closes.
-  nfa_.Step(nfa_sets_[from], class_rep_[cls], &to);
+  Step(nfa_sets_[from], class_rep_[cls], &to);
   const uint32_t id = to.empty() ? kDead : AddDfaState(std::move(to));
-  transitions_[idx] = id;  // AddDfaState may grow transitions_; re-index is
-                           // safe because idx addresses an existing slot.
+  table_.transitions[idx] = id;  // AddDfaState may grow the table; idx
+                                 // addresses an existing slot, so re-index.
   return id;
 }
 
+std::shared_ptr<const FrozenDfa> Dfa::Freeze(size_t max_states) const {
+  // Eager bounded subset construction: visit every materialized state in id
+  // order, forcing each outgoing edge. Newly-discovered states append and
+  // are visited in turn, so the loop terminates exactly when the reachable
+  // automaton is complete (or the cap trips). The dead state's edges are
+  // pre-filled at construction and cost nothing.
+  if (num_materialized_states() > max_states) return nullptr;
+  for (uint32_t s = 0; s < num_materialized_states(); ++s) {
+    for (uint32_t cls = 0; cls < table_.num_classes; ++cls) {
+      Transition(s, cls);
+      if (num_materialized_states() > max_states) return nullptr;
+    }
+  }
+  // Fully materialized: no kUnset left in the copied table.
+  return std::shared_ptr<const FrozenDfa>(new FrozenDfa(table_));  // lint: new-ok (private ctor, owned by the shared_ptr)
+}
+
 bool Dfa::Matches(std::string_view s) const {
-  // Mandatory-literal prefilter: a string without the needle cannot match
-  // (exact — see RequiredLiteralSubstring), so skip the table walk.
-  if (!required_literal_.empty() &&
-      !simd::ContainsLiteral(s, required_literal_)) {
-    return false;
-  }
-  uint32_t state = start_state_;
-  for (const char c : s) {
-    state = Transition(state, byte_class_[static_cast<unsigned char>(c)]);
-    if (state == kDead) return false;
-  }
-  return accept_[state] != 0;
+  return table_.Matches(s, Next{*this});
 }
 
 size_t Dfa::ScanPrefixes(std::string_view s,
                          std::vector<uint32_t>* out) const {
-  out->clear();
-  uint32_t state = start_state_;
-  if (accept_[state]) out->push_back(0);
-  for (size_t i = 0; i < s.size(); ++i) {
-    state = Transition(state, byte_class_[static_cast<unsigned char>(s[i])]);
-    if (state == kDead) break;
-    if (accept_[state]) out->push_back(static_cast<uint32_t>(i + 1));
-  }
-  return out->size();
+  return table_.ScanPrefixes(s, out, Next{*this});
+}
+
+void Dfa::Classify(std::string_view s, std::vector<uint32_t>* out) const {
+  table_.Classify(s, out, Next{*this});
 }
 
 std::vector<uint32_t> Dfa::MatchingPrefixLengths(std::string_view s) const {

@@ -2,65 +2,75 @@
 #define ANMAT_PATTERN_DFA_H_
 
 /// \file dfa.h
-/// Lazy deterministic automaton over an `Nfa`.
+/// Lazy deterministic automaton over one or more patterns' `Nfa`s.
 ///
 /// The NFA simulation in nfa.cc allocates, sorts and epsilon-closes a state
 /// set for every input character — fine as a semantic reference, far too
 /// slow for the detect/discover hot paths that probe millions of cell
 /// values. `Dfa` removes all per-character work:
 ///
-///   1. *Alphabet compression*: the pattern language only distinguishes
+///   1. *Members*: a `Dfa` compiles a list of element sequences (one for
+///      a single pattern, a whole rule set for the dispatch layer's union
+///      automata). Their Thompson NFAs are laid side by side in one merged
+///      state space (member m's NFA state s is merged state base[m] + s),
+///      one accept state per member; `Nfa::Step`/`EpsilonClosure` drive
+///      each member's slice of a merged state set.
+///   2. *Alphabet compression*: the pattern language only distinguishes
 ///      bytes by their generalization-tree class (\LU/\LL/\D/\S) and by the
-///      literal characters the pattern mentions, so the 256-byte alphabet
+///      literal characters the members mention, so the 256-byte alphabet
 ///      collapses into a handful of symbol-equivalence classes, computed
-///      once at construction (`byte_class_`).
-///   2. *Lazy subset construction*: DFA states are epsilon-closed NFA state
-///      sets, discovered on demand and memoized; the dense transition table
-///      (`state × symbol-class → state`) is filled in the first time each
-///      edge is taken. Matching a string is then one table lookup per byte.
+///      once at construction.
+///   3. *Lazy subset construction*: DFA states are epsilon-closed merged
+///      NFA sets, discovered on demand and memoized; the dense transition
+///      table (`state × symbol-class → state`) is filled in the first time
+///      each edge is taken. Matching a string is then one table lookup per
+///      byte. Each state records the ids of the members whose accept state
+///      its set contains, interned in the table's accept-set pool.
 ///
 /// Only states reachable from the inputs actually seen are ever built, so
-/// construction stays cheap even for patterns whose full DFA would be
-/// large. Accept membership is a per-state bit, which makes
-/// `MatchingPrefixLengths` a single forward scan.
-///
-/// The memo tables grow lazily behind a const interface (`mutable`); a
+/// construction stays cheap even for automata whose full DFA would be
+/// large. The tables grow lazily behind a const interface (`mutable`); a
 /// `Dfa` is therefore NOT safe for concurrent use from multiple threads.
-/// For shared concurrent probing, `Freeze()` (pattern/frozen_dfa.h) runs
-/// the subset construction eagerly and emits an immutable `FrozenDfa`.
+/// For shared concurrent probing, `Freeze()` runs the subset construction
+/// eagerly and emits an immutable `FrozenDfa` (pattern/frozen_dfa.h).
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "pattern/frozen_dfa.h"
 #include "pattern/nfa.h"
 #include "pattern/pattern.h"
 
 namespace anmat {
 
-class FrozenDfa;
-
 /// Default cap on eagerly materialized states in `Dfa::Freeze` — far above
-/// anything the paper's pattern language produces (tens of states), so it
-/// only guards against pathological inputs.
+/// anything a single pattern of the paper's language produces (tens of
+/// states), so for single patterns it only guards against pathological
+/// inputs; union automata over large rule sets can reach it.
 inline constexpr size_t kDefaultMaxFrozenStates = 4096;
 
-/// \brief Lazily-determinized automaton for one pattern's element sequence
-/// (conjuncts are compiled separately, exactly like `Nfa`).
+/// \brief Lazily-determinized automaton over the element sequences of one
+/// or more member patterns (conjuncts are compiled separately, exactly
+/// like `Nfa`). Member ids are positions in the constructor's list.
 class Dfa {
  public:
-  /// Compiles the element sequence of `p` (via `Nfa::Compile`).
-  static Dfa Compile(const Pattern& p);
+  /// Compiles the union of `members`' element sequences (at least one; not
+  /// owned, only read during construction).
+  explicit Dfa(const std::vector<const Pattern*>& members);
 
-  /// Wraps an already-compiled NFA.
-  explicit Dfa(Nfa nfa);
+  /// The one-member automaton for `p`'s element sequence.
+  static Dfa Compile(const Pattern& p) { return Dfa({&p}); }
 
-  /// Full-string match: one table lookup per byte.
+  /// Full-string match (some member accepts): one table lookup per byte.
   bool Matches(std::string_view s) const;
 
-  /// All prefix lengths L such that s[0, L) is accepted, ascending — the
-  /// same contract as `Nfa::MatchingPrefixLengths`.
+  /// All prefix lengths L such that some member accepts s[0, L), ascending
+  /// — for one member the same contract as `Nfa::MatchingPrefixLengths`.
   std::vector<uint32_t> MatchingPrefixLengths(std::string_view s) const;
 
   /// Allocation-free variant: clears `*out` and fills it with the matching
@@ -68,60 +78,75 @@ class Dfa {
   /// loops reuse the scratch vector.
   size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out) const;
 
+  /// Clears `*out` and fills it with the ids (ascending) of every member
+  /// whose element sequence accepts `s`.
+  void Classify(std::string_view s, std::vector<uint32_t>* out) const;
+
   /// Eagerly materializes every reachable DFA state (bounded subset
   /// construction) and emits an immutable `FrozenDfa` safe for lock-free
-  /// concurrent probes, with accept decisions and prefix sets identical to
-  /// this automaton's. Returns null when more than `max_states` states are
-  /// reachable — callers keep using (per-thread) lazy automata then.
-  /// Defined in frozen_dfa.cc.
+  /// concurrent probes, with decisions, prefix sets and accept sets
+  /// identical to this automaton's. Returns null iff more than
+  /// `max_states` states (dead state included) are reachable — callers
+  /// keep using (per-thread) lazy automata or the per-pattern path then.
   std::shared_ptr<const FrozenDfa> Freeze(
       size_t max_states = kDefaultMaxFrozenStates) const;
 
   /// Introspection (benchmarks / tests).
-  size_t num_symbol_classes() const { return num_classes_; }
-  size_t num_materialized_states() const { return accept_.size(); }
+  size_t num_members() const { return table_.num_members; }
+  size_t num_symbol_classes() const { return table_.num_classes; }
+  size_t num_materialized_states() const { return table_.num_states(); }
 
-  /// The mandatory-literal prefilter needle (see
-  /// `RequiredLiteralSubstring`): non-empty only when compiled from a
-  /// `Pattern` whose element sequence guarantees the substring. `Matches`
-  /// rejects inputs lacking it without touching the automaton; `Freeze`
-  /// copies it into the frozen table.
-  const std::string& required_literal() const { return required_literal_; }
+  /// The mandatory-literal prefilter needle: the longest substring
+  /// guaranteed to occur in every string accepted by *any* member — the
+  /// members' `RequiredLiteralSubstring`s folded under longest-common-
+  /// substring. Empty whenever some member guarantees nothing. Probes
+  /// reject inputs lacking it without touching the automaton; `Freeze`
+  /// carries it into the frozen table.
+  const std::string& prefilter_literal() const { return table_.prefilter; }
 
  private:
-  static constexpr uint32_t kDead = 0;    ///< DFA state for the empty set
+  static constexpr uint32_t kDead = DfaTable::kDead;
   static constexpr uint32_t kUnset = 0xFFFFFFFFu;  ///< lazy-edge sentinel
 
   void BuildAlphabet();
-  /// Interns an epsilon-closed NFA set, returning its DFA state id (const:
-  /// touches only the mutable lazy tables).
+  /// One step of the merged NFA from closed set `from` on byte `c`: each
+  /// member's slice goes through that member's `Nfa::Step`.
+  void Step(const std::vector<uint32_t>& from, char c,
+            std::vector<uint32_t>* to) const;
+  /// Interns an epsilon-closed merged-NFA set, returning its DFA state id
+  /// (const: touches only the mutable lazy tables).
   uint32_t AddDfaState(std::vector<uint32_t> nfa_set) const;
-
   /// The target of `from` on symbol class `cls`, materializing it (and any
   /// newly-discovered DFA state) on first use.
   uint32_t Transition(uint32_t from, uint32_t cls) const;
 
-  Nfa nfa_;
+  /// The lazy transition function handed to the shared table walk (the
+  /// walks are defined in dfa.cc, where `Transition` inlines into them).
+  struct Next {
+    const Dfa& dfa;
+    uint32_t operator()(uint32_t state, uint32_t cls) const {
+      return dfa.Transition(state, cls);
+    }
+  };
 
-  /// Mandatory-literal prefilter needle (empty = no prefilter).
-  std::string required_literal_;
-
-  /// byte value -> symbol-equivalence class id.
-  uint8_t byte_class_[256] = {};
-  uint32_t num_classes_ = 1;
-  /// One representative byte per class (drives the NFA step when a new edge
-  /// is materialized).
+  /// Member NFAs; member m's states occupy merged ids [base_[m],
+  /// base_[m + 1]).
+  std::vector<Nfa> nfas_;
+  std::vector<uint32_t> base_;
+  /// Merged NFA state -> the member whose accept state it is (-1 if none).
+  std::vector<int32_t> accept_member_;
+  /// One representative byte per symbol class (drives the NFA step when a
+  /// new edge is materialized).
   std::vector<char> class_rep_;
 
-  /// Dense lazy transition table: transitions_[state * num_classes_ + cls].
-  mutable std::vector<uint32_t> transitions_;
-  mutable std::vector<uint8_t> accept_;
-  /// The epsilon-closed NFA set of each materialized DFA state.
+  /// The lazily-filled table (kUnset marks edges not yet taken).
+  mutable DfaTable table_;
+  /// The epsilon-closed merged-NFA set of each materialized DFA state.
   mutable std::vector<std::vector<uint32_t>> nfa_sets_;
   /// Hash of an NFA set -> DFA state ids with that hash (tiny buckets).
   mutable std::vector<std::pair<uint64_t, uint32_t>> set_index_;
-
-  uint32_t start_state_ = kDead;
+  /// Accept set -> its entry in `table_`'s pool.
+  mutable std::map<std::vector<uint32_t>, uint32_t> pool_entry_of_;
 };
 
 /// \brief Recursively flattens `p`'s conjunct tree into `*out` (the pattern

@@ -2,113 +2,152 @@
 #define ANMAT_PATTERN_FROZEN_DFA_H_
 
 /// \file frozen_dfa.h
-/// Immutable, concurrency-safe automata frozen out of a lazy `Dfa`.
+/// The automaton table format, and the immutable automata frozen into it.
 ///
-/// The lazy `Dfa` (dfa.h) memoizes subset construction behind a const
-/// interface, so it is cheap to build but NOT safe for concurrent probes —
-/// every parallel detection task and every repair pass has historically
-/// compiled its own copy and re-explored the same states. `Dfa::Freeze()`
-/// pays the subset construction once, eagerly: it materializes every
-/// reachable DFA state (bounded by a state cap) and emits a `FrozenDfa` —
-/// a contiguous state-major `uint32_t` transition table plus a packed
-/// accept bitmap, with no mutable members at all. A `FrozenDfa` can be
-/// probed lock-free from any number of threads and shared engine-wide via
-/// `shared_ptr` (see pattern/automaton_cache.h).
+/// A `Dfa` (dfa.h) compiles one or more pattern element sequences — its
+/// *members* — into a `DfaTable`: a byte -> symbol-class table, a dense
+/// state-major transition table, and a deduplicated *accept-set pool*
+/// (each distinct set of accepting member ids stored once, every state
+/// referencing its pool entry; entry 0 is the empty set). The lazy `Dfa`
+/// fills the table on demand behind a const interface, so it is cheap to
+/// build but NOT safe for concurrent probes. `Dfa::Freeze()` pays the
+/// subset construction once, eagerly — every reachable state, bounded by
+/// a state cap — and hands the completed table to a `FrozenDfa`, which
+/// has no mutable state besides two relaxed probe counters. A `FrozenDfa`
+/// can be probed lock-free from any number of threads and shared
+/// engine-wide via `shared_ptr` (see pattern/automaton_cache.h).
 ///
-/// Two hot-path accelerations ride on the frozen table, both exact:
+/// One table walk serves every query, lazy or frozen:
 ///
-///   * a *required-literal prefilter*: the longest substring mandatory in
-///     every accepted string (`RequiredLiteralSubstring`, carried over
-///     from the compiling `Dfa`). `Matches`/`ScanPrefixes` reject values
-///     lacking the needle with one memchr-anchored scan, never touching
-///     the transition table;
-///   * a *vectorized class-mapping kernel*: long inputs are mapped to
-///     symbol classes 16 bytes per iteration (`simd::ClassifyBytes`, a
-///     table-shuffle under SSSE3, unrolled scalar otherwise) into a stack
-///     buffer that feeds the table walk, instead of one table lookup per
-///     input byte.
+///   * `Matches` / `ScanPrefixes`: does *some* member accept the string
+///     (or each of its prefixes)? For a one-member automaton this is
+///     exactly that pattern's match decision;
+///   * `Classify`: the ids (ascending) of every member accepting the
+///     string — one forward scan classifies a value against a whole rule
+///     set (the dispatch layer's union automata).
 ///
-/// Matching semantics are byte-identical to the lazy `Dfa` (and therefore
-/// to the `Nfa` reference): same accept decisions, same prefix-length
-/// sets — differential-tested in tests/dfa_test.cc. State 0 is the dead
-/// state; `Matches`/`ScanPrefixes` exit early the moment it is entered.
+/// Both reject values lacking the *required-literal prefilter* — a
+/// substring mandatory in every string any member accepts
+/// (`RequiredLiteralSubstring`, folded over the members) — with one
+/// memchr-anchored scan, never touching the transition table.
 ///
-/// Patterns whose reachable subset automaton exceeds the cap (none of the
-/// paper's pattern language in practice — automata here have tens of
-/// states) are reported unfreezable (`Freeze` returns null) and callers
-/// fall back to private lazy `Dfa` copies, one per owner.
+/// Decisions are identical to the `Nfa` reference (differential-tested in
+/// tests/dfa_test.cc and tests/dispatch_test.cc). State 0 is the dead
+/// state; walks exit the moment it is entered. Automata whose reachable
+/// state count exceeds the cap are reported unfreezable (`Freeze` returns
+/// null) and callers fall back to private lazy `Dfa`s or the per-pattern
+/// path.
 
-#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
-#include "pattern/dfa.h"
 #include "util/simd.h"
 
 namespace anmat {
 
-/// \brief Fully-materialized immutable DFA: safe for lock-free concurrent
-/// probes. Built exclusively by `Dfa::Freeze`.
+class Dfa;
+
+/// \brief The table a `Dfa` fills lazily and a `FrozenDfa` serves frozen.
+struct DfaTable {
+  static constexpr uint32_t kDead = 0;  ///< state of the empty NFA set
+
+  /// byte value -> symbol-equivalence class id.
+  uint8_t byte_class[256] = {};
+  uint32_t num_classes = 1;
+  uint32_t num_members = 0;
+  uint32_t start = kDead;
+  /// Mandatory-literal prefilter needle (empty = no prefilter).
+  std::string prefilter;
+  /// State-major transitions: transitions[state * num_classes + cls].
+  std::vector<uint32_t> transitions;
+  /// State -> pool entry holding its accept set (0 = the empty set).
+  std::vector<uint32_t> accept_ref;
+  /// Entry e covers pool_ids[pool_offsets[e], pool_offsets[e + 1]).
+  std::vector<uint32_t> pool_offsets = {0, 0};
+  /// Concatenated ascending member-id runs, one per distinct accept set.
+  std::vector<uint32_t> pool_ids;
+
+  uint32_t num_states() const {
+    return static_cast<uint32_t>(accept_ref.size());
+  }
+
+  /// True when `s` provably matches no member (its needle is absent).
+  bool Rejects(std::string_view s) const {
+    return !prefilter.empty() && !simd::ContainsLiteral(s, prefilter);
+  }
+
+  /// The walk behind `Matches`: the state reached on `s`, or `kDead` as
+  /// soon as it is entered. `next(state, cls)` is the transition function
+  /// (a plain lookup when frozen, materializing when lazy).
+  template <typename Next>
+  uint32_t Run(std::string_view s, Next next) const {
+    uint32_t state = start;
+    for (const char c : s) {
+      state = next(state, byte_class[static_cast<unsigned char>(c)]);
+      if (state == kDead) break;
+    }
+    return state;
+  }
+
+  template <typename Next>
+  bool Matches(std::string_view s, Next next) const {
+    return !Rejects(s) && accept_ref[Run(s, next)] != 0;
+  }
+
+  /// Clears `*out` and fills it with every L such that some member accepts
+  /// s[0, L), ascending. No accepted prefix can lack the mandatory literal
+  /// either, so a filtered-out value skips the walk.
+  template <typename Next>
+  size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out,
+                      Next next) const {
+    out->clear();
+    if (Rejects(s)) return 0;
+    uint32_t state = start;
+    if (accept_ref[state] != 0) out->push_back(0);
+    for (size_t i = 0; i < s.size(); ++i) {
+      state = next(state, byte_class[static_cast<unsigned char>(s[i])]);
+      if (state == kDead) break;
+      if (accept_ref[state] != 0) {
+        out->push_back(static_cast<uint32_t>(i + 1));
+      }
+    }
+    return out->size();
+  }
+
+  /// Clears `*out` and fills it with the ids (ascending) of every member
+  /// accepting `s`. Returns whether any did.
+  template <typename Next>
+  bool Classify(std::string_view s, std::vector<uint32_t>* out,
+                Next next) const {
+    out->clear();
+    if (Rejects(s)) return false;
+    const uint32_t ref = accept_ref[Run(s, next)];
+    if (ref == 0) return false;
+    out->assign(pool_ids.begin() + pool_offsets[ref],
+                pool_ids.begin() + pool_offsets[ref + 1]);
+    return true;
+  }
+};
+
+/// \brief Fully-materialized immutable automaton: safe for lock-free
+/// concurrent probes. Built exclusively by `Dfa::Freeze`.
 class FrozenDfa {
  public:
-  /// Full-string match: literal prefilter, then a class-buffered table
-  /// walk (16-bytes-per-iteration classification on long values), early
-  /// exit on the dead state.
+  /// Full-string match (some member accepts): prefilter, then one table
+  /// lookup per byte with early exit on the dead state. Counter-free.
   bool Matches(std::string_view s) const {
-    if (!prefilter_literal_.empty() &&
-        !simd::ContainsLiteral(s, prefilter_literal_)) {
-      return false;
-    }
-    uint32_t state = start_state_;
-    const uint32_t stride = num_classes_;
-    // The buffered classify pass only pays off when the shuffle kernel is
-    // actually vectorizing it; otherwise (short values, SSE2-only builds,
-    // non-uniform high halves) the fused scalar walk does strictly less
-    // work per byte.
-    if (s.size() < kClassifyThreshold || !classifier_.shuffle_ok) {
-      for (const char c : s) {
-        state = transitions_[state * stride +
-                             classifier_.table[static_cast<unsigned char>(c)]];
-        if (state == kDead) return false;
-      }
-      return IsAccept(state);
-    }
-    uint8_t cls[kClassifyChunk];
-    for (size_t i = 0; i < s.size(); i += kClassifyChunk) {
-      const size_t chunk = std::min(s.size() - i, sizeof(cls));
-      simd::ClassifyBytes(classifier_, s.data() + i, chunk, cls);
-      for (size_t j = 0; j < chunk; ++j) {
-        state = transitions_[state * stride + cls[j]];
-        if (state == kDead) return false;
-      }
-    }
-    return IsAccept(state);
+    return table_.Matches(s, Next{table_});
   }
 
   /// Allocation-free prefix scan: clears `*out` and fills it with every L
   /// such that s[0, L) is accepted, ascending. Same contract as
-  /// `Dfa::ScanPrefixes`. When the mandatory literal is absent from `s`,
-  /// no prefix can be accepted either (the literal is mandatory for any
-  /// accept), so the walk is skipped entirely.
+  /// `Dfa::ScanPrefixes`.
   size_t ScanPrefixes(std::string_view s, std::vector<uint32_t>* out) const {
-    out->clear();
-    if (!prefilter_literal_.empty() &&
-        !simd::ContainsLiteral(s, prefilter_literal_)) {
-      return 0;
-    }
-    uint32_t state = start_state_;
-    const uint32_t stride = num_classes_;
-    if (IsAccept(state)) out->push_back(0);
-    for (size_t i = 0; i < s.size(); ++i) {
-      state = transitions_[state * stride +
-                           classifier_.table[static_cast<unsigned char>(s[i])]];
-      if (state == kDead) break;
-      if (IsAccept(state)) out->push_back(static_cast<uint32_t>(i + 1));
-    }
-    return out->size();
+    return table_.ScanPrefixes(s, out, Next{table_});
   }
 
   /// Convenience wrapper over `ScanPrefixes`.
@@ -118,41 +157,46 @@ class FrozenDfa {
     return lengths;
   }
 
-  /// Introspection (benchmarks / tests).
-  size_t num_states() const { return num_states_; }
-  size_t num_symbol_classes() const { return num_classes_; }
-  const std::string& prefilter_literal() const { return prefilter_literal_; }
-  /// True when the SSSE3 table-shuffle path backs `ClassifyBytes` for this
-  /// automaton's class table (build- and table-dependent).
-  bool classify_shuffle_active() const { return classifier_.shuffle_ok; }
-
- private:
-  friend class Dfa;  // populated by Dfa::Freeze
-  FrozenDfa() = default;
-
-  static constexpr uint32_t kDead = 0;
-  /// Inputs at least this long classify through the SIMD kernel; shorter
-  /// ones walk fused (the buffer round-trip only pays off once a full
-  /// vector participates).
-  static constexpr size_t kClassifyThreshold = 16;
-  static constexpr size_t kClassifyChunk = 256;
-
-  bool IsAccept(uint32_t state) const {
-    return (accept_bits_[state >> 6] >> (state & 63)) & 1;
+  /// Clears `*out` and fills it with the ids (ascending) of every member
+  /// accepting `s`. Bumps the relaxed probe/hit counters the daemon's
+  /// dispatch stats aggregate.
+  void Classify(std::string_view s, std::vector<uint32_t>* out) const {
+    probes_.fetch_add(1, std::memory_order_relaxed);
+    if (table_.Classify(s, out, Next{table_})) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
-  /// byte -> symbol class table plus its prepared SIMD decomposition.
-  simd::ByteClassifier classifier_;
-  uint32_t num_classes_ = 1;
-  uint32_t num_states_ = 0;
-  uint32_t start_state_ = kDead;
-  /// Mandatory-literal prefilter needle (empty = no prefilter).
-  std::string prefilter_literal_;
-  /// State-major flat transition table: transitions_[state * num_classes_
-  /// + cls]. Every entry is a valid state id (no lazy sentinel).
-  std::vector<uint32_t> transitions_;
-  /// Packed accept bitmap, one bit per state.
-  std::vector<uint64_t> accept_bits_;
+  /// Introspection (benchmarks / tests / dispatch stats).
+  size_t num_states() const { return table_.num_states(); }
+  size_t num_members() const { return table_.num_members; }
+  size_t num_symbol_classes() const { return table_.num_classes; }
+  const std::string& prefilter_literal() const { return table_.prefilter; }
+  /// Footprint of the accept-set pool (ids + offsets + state refs).
+  size_t pool_bytes() const {
+    return (table_.pool_ids.size() + table_.pool_offsets.size() +
+            table_.accept_ref.size()) *
+           sizeof(uint32_t);
+  }
+  /// Lifetime `Classify` calls / calls that returned a non-empty set.
+  uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+
+ private:
+  friend class Dfa;  // the only producer (Dfa::Freeze)
+  explicit FrozenDfa(DfaTable table) : table_(std::move(table)) {}
+
+  /// The frozen transition function: every entry is a valid state id.
+  struct Next {
+    const DfaTable& table;
+    uint32_t operator()(uint32_t state, uint32_t cls) const {
+      return table.transitions[state * table.num_classes + cls];
+    }
+  };
+
+  const DfaTable table_;
+  mutable std::atomic<uint64_t> probes_{0};
+  mutable std::atomic<uint64_t> hits_{0};
 };
 
 }  // namespace anmat

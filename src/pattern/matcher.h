@@ -27,7 +27,6 @@
 namespace anmat {
 
 class AutomatonCache;
-class FrozenDfa;
 
 /// \brief One automaton slot of a matcher: a shared immutable `FrozenDfa`
 /// out of the cache when available, a private lazy `Dfa` otherwise.

@@ -11,10 +11,13 @@
 /// conjunct's automaton and intersecting outcomes.
 ///
 /// The per-character simulation here is the *semantic reference*: hot paths
-/// match through the lazily-determinized `Dfa` (dfa.h), which is
-/// differential-tested against this implementation (tests/dfa_test.cc).
-/// Containment checking (containment.cc) stays on the NFA, whose explicit
-/// state sets are what the product-automaton search needs.
+/// match through the lazily-determinized `Dfa` (dfa.h) — one automaton
+/// type for a single pattern and for a union of patterns, whose subset
+/// construction steps each member's `Nfa` through `Step`/`EpsilonClosure`
+/// — differential-tested against this implementation (tests/dfa_test.cc,
+/// tests/dispatch_test.cc). Containment checking (containment.cc) stays on
+/// the NFA, whose explicit state sets are what the product-automaton
+/// search needs.
 
 #include <cstdint>
 #include <string_view>

@@ -172,7 +172,6 @@ void Daemon::ReadFrom(const std::shared_ptr<Connection>& conn) {
           // flush. Stop reading — the byte stream has no boundaries left.
           Enqueue(conn, SerializeServiceError(0, next.status()));
           conn->input_closed = true;
-          conn->failed = true;
           break;
         }
         if (!next.value()) break;
@@ -187,7 +186,6 @@ void Daemon::ReadFrom(const std::shared_ptr<Connection>& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     conn->input_closed = true;  // ECONNRESET and friends
-    conn->failed = true;
     break;
   }
 }
@@ -205,9 +203,13 @@ void Daemon::WriteTo(const std::shared_ptr<Connection>& conn) {
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n < 0 && errno == EINTR) continue;
-    // EPIPE etc.: the peer is gone; drop what we owed it.
+    // EPIPE etc.: the peer is gone; drop what we owed it. Unsent bytes
+    // must go too: a connection with output pending is never reaped, stays
+    // polled for POLLOUT (which a dead peer reports at once — a busy spin),
+    // and holds up the shutdown drain forever.
     conn->input_closed = true;
-    conn->failed = true;
+    conn->write_buf.clear();
+    conn->write_off = 0;
     return;
   }
   if (conn->write_off == conn->write_buf.size()) {

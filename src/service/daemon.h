@@ -116,10 +116,9 @@ class Daemon {
         : fd(fd), decoder(max_frame_bytes) {}
     int fd;
     FrameDecoder decoder;
-    /// EOF seen or framing broken: never read again.
+    /// EOF seen, framing broken or peer gone: never read again; the
+    /// connection closes once nothing is left to flush.
     bool input_closed = false;
-    /// Framing broke: close as soon as the final error frame is flushed.
-    bool failed = false;
     /// Bytes on their way out (poll thread only).
     std::string write_buf;
     size_t write_off = 0;

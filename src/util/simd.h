@@ -2,26 +2,19 @@
 #define ANMAT_UTIL_SIMD_H_
 
 /// \file simd.h
-/// Build-time SIMD dispatch for the frozen hot paths.
+/// Build-time SIMD kernels for the ingest and probe hot paths.
 ///
-/// Two kernels live here, selected once at build time (no runtime
-/// dispatch — the container compiles for the host and the scalar paths
-/// are byte-identical, so tests cover both by building twice):
-///
-///   * `ByteClassifier` / `ClassifyBytes` — maps input bytes to DFA
-///     symbol-class ids through a 256-entry table, 16 bytes per iteration.
-///     With SSSE3 the ASCII half of the table is decomposed into eight
-///     16-entry `pshufb` rows selected by the high nibble; bytes >= 0x80
-///     are handled by one blended splat when the table is uniform there
-///     (it always is for the paper's pattern language: every non-ASCII
-///     byte is "other"). Tables that are not uniform on the high half —
-///     or builds without SSSE3 — fall back to an unrolled scalar loop.
-///     Either way `out[i] == table[in[i]]` exactly.
+/// Selected once at build time (no runtime dispatch — the container
+/// compiles for the host and the fallbacks are byte-identical, so tests
+/// cover both by building twice):
 ///
 ///   * `FindStructural` — the CSV record splitter's inner loop: the index
 ///     of the first byte matching any of four structural characters
 ///     (delimiter, quote, CR, LF). SSE2 compares 16 bytes against four
 ///     splats per iteration; the fallback is a SWAR word-at-a-time scan.
+///
+///   * `ContainsLiteral` — the automata's required-literal prefilter,
+///     memchr-anchored (glibc's memchr is itself vectorized).
 ///
 /// Both kernels are pure functions of their inputs; the automaton /
 /// parser semantics stay in the callers.
@@ -31,10 +24,6 @@
 #include <cstring>
 #include <string_view>
 
-#if defined(__SSSE3__)
-#include <tmmintrin.h>
-#define ANMAT_SIMD_SSSE3 1
-#endif
 #if defined(__SSE2__) || defined(_M_X64) || defined(__x86_64__)
 #include <emmintrin.h>
 #define ANMAT_SIMD_SSE2 1
@@ -45,104 +34,11 @@ namespace simd {
 
 /// Build-time kernel level, for bench/test introspection.
 inline const char* LevelName() {
-#if defined(ANMAT_SIMD_SSSE3)
-  return "ssse3";
-#elif defined(ANMAT_SIMD_SSE2)
+#if defined(ANMAT_SIMD_SSE2)
   return "sse2";
 #else
   return "scalar";
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Byte -> symbol-class mapping
-// ---------------------------------------------------------------------------
-
-/// \brief A 256-entry byte->class table plus its SIMD decomposition,
-/// prepared once (at `Freeze` time) and probed from any number of threads.
-struct ByteClassifier {
-  uint8_t table[256] = {};
-  bool shuffle_ok = false;  ///< high half uniform and SSSE3 compiled in
-  uint8_t hi_class = 0;     ///< the class of every byte >= 0x80
-#if defined(ANMAT_SIMD_SSSE3)
-  alignas(16) uint8_t rows[8][16] = {};  ///< ASCII table split by hi nibble
-#endif
-};
-
-/// Prepares `out` from a raw class table.
-inline void BuildByteClassifier(const uint8_t table[256],
-                                ByteClassifier* out) {
-  std::memcpy(out->table, table, 256);
-  out->hi_class = table[128];
-  bool hi_uniform = true;
-  for (int b = 129; b < 256; ++b) {
-    if (table[b] != out->hi_class) {
-      hi_uniform = false;
-      break;
-    }
-  }
-#if defined(ANMAT_SIMD_SSSE3)
-  out->shuffle_ok = hi_uniform;
-  for (int row = 0; row < 8; ++row) {
-    for (int lo = 0; lo < 16; ++lo) {
-      out->rows[row][lo] = table[row * 16 + lo];
-    }
-  }
-#else
-  (void)hi_uniform;
-#endif
-}
-
-/// out[i] = table[in[i]] for i in [0, n).
-inline void ClassifyBytes(const ByteClassifier& c, const char* in, size_t n,
-                          uint8_t* out) {
-  size_t i = 0;
-#if defined(ANMAT_SIMD_SSSE3)
-  if (c.shuffle_ok && n >= 16) {
-    const __m128i lo_mask = _mm_set1_epi8(0x0F);
-    const __m128i hi_splat = _mm_set1_epi8(static_cast<char>(c.hi_class));
-    __m128i rows[8];
-    for (int r = 0; r < 8; ++r) {
-      rows[r] = _mm_load_si128(reinterpret_cast<const __m128i*>(c.rows[r]));
-    }
-    for (; i + 16 <= n; i += 16) {
-      const __m128i v =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-      const __m128i lo = _mm_and_si128(v, lo_mask);
-      // hi nibble of each byte; for bytes >= 0x80 the sign trick below
-      // overrides whatever the rows produce.
-      const __m128i hi =
-          _mm_and_si128(_mm_srli_epi16(v, 4), lo_mask);
-      __m128i acc = _mm_setzero_si128();
-      for (int r = 0; r < 8; ++r) {
-        const __m128i row_match = _mm_cmpeq_epi8(hi, _mm_set1_epi8(r));
-        acc = _mm_or_si128(
-            acc, _mm_and_si128(_mm_shuffle_epi8(rows[r], lo), row_match));
-      }
-      // Bytes with the top bit set (hi nibble 8..15) matched no row; blend
-      // in the uniform high-half class. cmplt on signed bytes: v < 0.
-      const __m128i is_high = _mm_cmplt_epi8(v, _mm_setzero_si128());
-      acc = _mm_or_si128(_mm_andnot_si128(is_high, acc),
-                         _mm_and_si128(is_high, hi_splat));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), acc);
-    }
-  }
-#endif
-  // Unrolled scalar tail (and the whole loop without SSSE3 / on tables
-  // with a non-uniform high half).
-  for (; i + 8 <= n; i += 8) {
-    out[i + 0] = c.table[static_cast<unsigned char>(in[i + 0])];
-    out[i + 1] = c.table[static_cast<unsigned char>(in[i + 1])];
-    out[i + 2] = c.table[static_cast<unsigned char>(in[i + 2])];
-    out[i + 3] = c.table[static_cast<unsigned char>(in[i + 3])];
-    out[i + 4] = c.table[static_cast<unsigned char>(in[i + 4])];
-    out[i + 5] = c.table[static_cast<unsigned char>(in[i + 5])];
-    out[i + 6] = c.table[static_cast<unsigned char>(in[i + 6])];
-    out[i + 7] = c.table[static_cast<unsigned char>(in[i + 7])];
-  }
-  for (; i < n; ++i) {
-    out[i] = c.table[static_cast<unsigned char>(in[i])];
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -250,7 +250,7 @@ TEST(FrozenDfaTest, PrefilterLiteralCarriesOverAndStaysExact) {
   // CHEMBL\D{1,7}: the mandatory prefix becomes the prefilter needle on
   // both the lazy and frozen automata.
   const Dfa dfa = CompileDfa("CHEMBL\\D{1,7}");
-  EXPECT_EQ(dfa.required_literal(), "CHEMBL");
+  EXPECT_EQ(dfa.prefilter_literal(), "CHEMBL");
   auto frozen = dfa.Freeze();
   ASSERT_NE(frozen, nullptr);
   EXPECT_EQ(frozen->prefilter_literal(), "CHEMBL");
@@ -261,7 +261,7 @@ TEST(FrozenDfaTest, PrefilterLiteralCarriesOverAndStaysExact) {
   EXPECT_FALSE(frozen->Matches("CHEMBL"));    // needle present, walk rejects
   EXPECT_FALSE(frozen->Matches("xCHEMBL25"));  // needle present, walk rejects
   // Class-only patterns have no needle and skip the filter entirely.
-  EXPECT_EQ(CompileDfa("\\D{5}").required_literal(), "");
+  EXPECT_EQ(CompileDfa("\\D{5}").prefilter_literal(), "");
 
   // ScanPrefixes early-outs identically: no needle in the string means no
   // accepted prefix.
@@ -273,9 +273,8 @@ TEST(FrozenDfaTest, PrefilterLiteralCarriesOverAndStaysExact) {
 }
 
 TEST(FrozenDfaTest, LongValuesUseChunkedClassifyExactly) {
-  // 16+ byte values take the SIMD class-buffer path; decisions must be
-  // identical to short-string walks, including across the 256-byte chunk
-  // boundary.
+  // Long values, from just under 16 bytes to well past 256, must decide
+  // exactly like short ones.
   auto frozen = CompileDfa("a+b").Freeze();
   ASSERT_NE(frozen, nullptr);
   for (size_t len : {size_t{15}, size_t{16}, size_t{17}, size_t{255},
@@ -291,6 +290,27 @@ TEST(FrozenDfaTest, StateCapFallsBackToNull) {
   // \D{5} needs 7 states (dead + start + 5 digits); a cap of 3 must refuse.
   EXPECT_EQ(CompileDfa("\\D{5}").Freeze(/*max_states=*/3), nullptr);
   EXPECT_NE(CompileDfa("\\D{5}").Freeze(/*max_states=*/64), nullptr);
+
+  // The cap is exact: 7 reachable states freeze at max_states=7 and refuse
+  // at 6 — as a single pattern and as a one-member union, directly and
+  // through the cache's single and union lookups alike.
+  const Pattern p = ParsePattern("\\D{5}").value();
+  const auto exact = CompileDfa("\\D{5}").Freeze(/*max_states=*/7);
+  ASSERT_NE(exact, nullptr);
+  EXPECT_EQ(exact->num_states(), 7u);
+  EXPECT_EQ(CompileDfa("\\D{5}").Freeze(/*max_states=*/6), nullptr);
+  const auto one_member = Dfa({&p}).Freeze(/*max_states=*/7);
+  ASSERT_NE(one_member, nullptr);
+  EXPECT_EQ(one_member->num_states(), 7u);
+  EXPECT_EQ(Dfa({&p}).Freeze(/*max_states=*/6), nullptr);
+  AutomatonCache fits(/*max_frozen_states=*/7);
+  EXPECT_NE(fits.Get(p), nullptr);
+  EXPECT_NE(fits.GetUnion({&p}).dfa, nullptr);
+  AutomatonCache too_small(/*max_frozen_states=*/6);
+  EXPECT_EQ(too_small.Get(p), nullptr);
+  EXPECT_EQ(too_small.GetUnion({&p}).dfa, nullptr);
+  EXPECT_EQ(too_small.fallbacks(), 1u);
+  EXPECT_EQ(too_small.dispatch_stats().fallbacks, 1u);
 }
 
 TEST(FrozenDfaDifferentialTest, RandomPatternsAgreeWithLazyAndNfa) {

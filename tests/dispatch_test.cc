@@ -1,4 +1,4 @@
-#include "pattern/multi_pattern_dfa.h"
+#include "dispatch/dispatch_plan.h"
 
 #include <gtest/gtest.h>
 
@@ -15,10 +15,10 @@
 #include "detect/detector.h"
 #include "detect/pattern_index.h"
 #include "detect_reference.h"
-#include "dispatch/dispatch_plan.h"
 #include "dispatch/pattern_trie.h"
 #include "pattern/automaton_cache.h"
 #include "pattern/dfa.h"
+#include "pattern/nfa.h"
 #include "pattern/pattern_parser.h"
 #include "util/random.h"
 
@@ -116,13 +116,20 @@ std::vector<const Pattern*> Pointers(const std::vector<Pattern>& patterns) {
   return out;
 }
 
+/// Does member `id` of `dfa` accept `s`?
+bool MemberMatches(const Dfa& dfa, std::string_view s, uint32_t id) {
+  std::vector<uint32_t> hits;
+  dfa.Classify(s, &hits);
+  return std::binary_search(hits.begin(), hits.end(), id);
+}
+
 // --------------------------------------------------- targeted union checks
 
-TEST(MultiPatternDfaTest, ClassifiesAgainstEveryMember) {
+TEST(UnionDfaTest, ClassifiesAgainstEveryMember) {
   const std::vector<Pattern> patterns = {P("\\D{5}"), P("\\D{3}\\A*"),
                                          P("\\LU\\LL+"), P("a{1,3}")};
-  MultiPatternDfa dfa(Pointers(patterns));
-  EXPECT_EQ(dfa.num_patterns(), 4u);
+  Dfa dfa(Pointers(patterns));
+  EXPECT_EQ(dfa.num_members(), 4u);
 
   std::vector<uint32_t> hits;
   dfa.Classify("90001", &hits);
@@ -135,13 +142,13 @@ TEST(MultiPatternDfaTest, ClassifiesAgainstEveryMember) {
   EXPECT_EQ(hits, (std::vector<uint32_t>{3}));
   dfa.Classify("zzz", &hits);
   EXPECT_TRUE(hits.empty());
-  EXPECT_TRUE(dfa.Matches("90001", 0));
-  EXPECT_FALSE(dfa.Matches("90001", 2));
+  EXPECT_TRUE(MemberMatches(dfa, "90001", 0));
+  EXPECT_FALSE(MemberMatches(dfa, "90001", 2));
 }
 
-TEST(MultiPatternDfaTest, EmptyElementSequenceAcceptsOnlyEpsilon) {
+TEST(UnionDfaTest, EmptyElementSequenceAcceptsOnlyEpsilon) {
   const std::vector<Pattern> patterns = {Pattern(), P("\\A+")};
-  MultiPatternDfa dfa(Pointers(patterns));
+  Dfa dfa(Pointers(patterns));
   std::vector<uint32_t> hits;
   dfa.Classify("", &hits);
   EXPECT_EQ(hits, (std::vector<uint32_t>{0}));
@@ -149,13 +156,13 @@ TEST(MultiPatternDfaTest, EmptyElementSequenceAcceptsOnlyEpsilon) {
   EXPECT_EQ(hits, (std::vector<uint32_t>{1}));
 }
 
-TEST(MultiPatternDfaTest, UnionPrefilterIsCommonLiteralOfAllMembers) {
+TEST(UnionDfaTest, UnionPrefilterIsCommonLiteralOfAllMembers) {
   // Every member guarantees a literal sharing "CHEMBL" — the union folds
   // them to the common substring and rejects values lacking it without a
   // table walk; classification stays exact on values that do contain it.
   const std::vector<Pattern> shared = {P("CHEMBL\\D{1,7}"),
                                        P("xCHEMBL\\D{2}")};
-  MultiPatternDfa dfa(Pointers(shared));
+  Dfa dfa(Pointers(shared));
   EXPECT_EQ(dfa.prefilter_literal(), "CHEMBL");
   std::vector<uint32_t> hits;
   dfa.Classify("90001", &hits);
@@ -174,22 +181,35 @@ TEST(MultiPatternDfaTest, UnionPrefilterIsCommonLiteralOfAllMembers) {
 
   // One member without a guaranteed literal sinks the whole filter.
   const std::vector<Pattern> mixed = {P("CHEMBL\\D{1,7}"), P("\\D{5}")};
-  MultiPatternDfa unfiltered(Pointers(mixed));
+  Dfa unfiltered(Pointers(mixed));
   EXPECT_EQ(unfiltered.prefilter_literal(), "");
   unfiltered.Classify("90001", &hits);
   EXPECT_EQ(hits, (std::vector<uint32_t>{1}));
 }
 
-TEST(MultiPatternDfaTest, FreezeReturnsNullAboveStateCap) {
+TEST(UnionDfaTest, FreezeReturnsNullAboveStateCap) {
   const std::vector<Pattern> patterns = {P("\\A{8}a"), P("\\A{6}b")};
-  MultiPatternDfa dfa(Pointers(patterns));
+  Dfa dfa(Pointers(patterns));
   EXPECT_EQ(dfa.Freeze(/*max_states=*/2), nullptr);
-  EXPECT_NE(dfa.Freeze(), nullptr);
+  const auto full = dfa.Freeze();
+  ASSERT_NE(full, nullptr);
+
+  // The cap is exact: the union freezes at exactly its own reachable state
+  // count (12, dead state included) and refuses one below it, also through
+  // the cache. (The one-member boundary is pinned in tests/dfa_test.cc.)
+  const size_t states = full->num_states();
+  EXPECT_EQ(states, 12u);
+  EXPECT_NE(Dfa(Pointers(patterns)).Freeze(states), nullptr);
+  EXPECT_EQ(Dfa(Pointers(patterns)).Freeze(states - 1), nullptr);
+  AutomatonCache fits(states);
+  EXPECT_NE(fits.GetUnion(Pointers(patterns)).dfa, nullptr);
+  AutomatonCache too_small(states - 1);
+  EXPECT_EQ(too_small.GetUnion(Pointers(patterns)).dfa, nullptr);
 }
 
 // ------------------------------------------------ randomized differential
 
-TEST(MultiPatternDfaDifferentialTest, MatchesIndependentDfaWalks) {
+TEST(UnionDfaDifferentialTest, MatchesIndependentDfaWalks) {
   Rng rng(20240817);
   for (int round = 0; round < 60; ++round) {
     std::vector<Pattern> patterns;
@@ -197,9 +217,13 @@ TEST(MultiPatternDfaDifferentialTest, MatchesIndependentDfaWalks) {
     for (size_t i = 0; i < n; ++i) patterns.push_back(RandomPattern(rng));
     std::vector<Dfa> singles;
     for (const Pattern& p : patterns) singles.push_back(Dfa::Compile(p));
+    // The NFA is the independent reference: single-pattern `Dfa`s share the
+    // union's subset construction.
+    std::vector<Nfa> nfas;
+    for (const Pattern& p : patterns) nfas.push_back(Nfa::Compile(p));
 
-    MultiPatternDfa multi(Pointers(patterns));
-    const std::shared_ptr<const FrozenMultiDfa> frozen = multi.Freeze();
+    Dfa multi(Pointers(patterns));
+    const std::shared_ptr<const FrozenDfa> frozen = multi.Freeze();
 
     std::vector<uint32_t> hits;
     std::vector<uint32_t> frozen_hits;
@@ -209,6 +233,9 @@ TEST(MultiPatternDfaDifferentialTest, MatchesIndependentDfaWalks) {
       std::vector<uint32_t> expected;
       for (uint32_t i = 0; i < singles.size(); ++i) {
         if (singles[i].Matches(value)) expected.push_back(i);
+        ASSERT_EQ(nfas[i].Matches(value), singles[i].Matches(value))
+            << "round " << round << " member " << i << " value \"" << value
+            << "\"";
       }
       multi.Classify(value, &hits);
       ASSERT_EQ(hits, expected) << "round " << round << " value \"" << value
@@ -224,13 +251,13 @@ TEST(MultiPatternDfaDifferentialTest, MatchesIndependentDfaWalks) {
 
 // ----------------------------------------------- concurrent frozen probes
 
-TEST(FrozenMultiDfaTest, ConcurrentProbesAreExactAndCounted) {
+TEST(FrozenUnionDfaTest, ConcurrentProbesAreExactAndCounted) {
   // Run under TSan (ANMAT_SANITIZE=thread) to prove the frozen table and
   // its relaxed counters are race-free under concurrent Classify.
   const std::vector<Pattern> patterns = {P("\\D{5}"), P("\\D{3}\\A*"),
                                          P("\\LU\\LL+"), P("\\A*")};
-  MultiPatternDfa multi(Pointers(patterns));
-  const std::shared_ptr<const FrozenMultiDfa> frozen = multi.Freeze();
+  Dfa multi(Pointers(patterns));
+  const std::shared_ptr<const FrozenDfa> frozen = multi.Freeze();
   ASSERT_NE(frozen, nullptr);
 
   std::vector<std::string> values;

@@ -19,6 +19,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -585,6 +589,60 @@ TEST(DaemonTest, DisconnectMidRequestDiscardsTheResponse) {
   DaemonClient client = DaemonClient::Connect(socket_path).value();
   EXPECT_TRUE(client.Call("ping", JsonValue::Object()).value().ok);
   runner.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTest, PeerThatStopsReadingIsReapedAndShutdownDrains) {
+  const std::string socket_path = FreshSocket("shut-rd");
+  const std::string dir = FreshDir("shut-rd");
+  const std::string csv = WriteZipCsv("shut-rd");
+  SeedProject(dir, csv);
+
+  DaemonRunner runner(socket_path);
+  // A peer that sends a project verb and then stops reading (but keeps its
+  // end open): the daemon's send of the answer fails with EPIPE.
+  const int fd = RawConnect(socket_path);
+  JsonValue params = JsonValue::Object();
+  params.Set("project", JsonValue::String(dir));
+  const std::string frame = EncodeFrame(
+      SerializeServiceRequest(1, "rules.list", std::move(params)));
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+
+  // Once the answer is attempted and dropped, the connection is reaped:
+  // only the stats client itself stays connected.
+  DaemonClient client = DaemonClient::Connect(socket_path).value();
+  int64_t connections = -1;
+  for (int i = 0; i < 1000 && connections != 1; ++i) {
+    const ServiceResponse stats =
+        client.Call("stats", JsonValue::Object()).value();
+    ASSERT_TRUE(stats.ok);
+    connections = stats.result.GetInt("connections").value();
+    if (connections != 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(connections, 1) << "the dead peer's connection was never reaped";
+
+  // Shutdown drains instead of waiting on bytes nobody will read. Bounded:
+  // a wedged serve loop can never be joined, so a regression exits the
+  // test binary with a failure rather than hanging it.
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    runner.Stop();
+    stopped.store(true);
+  });
+  for (int i = 0; i < 3000 && !stopped.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (!stopped.load()) {
+    ADD_FAILURE() << "Stop() did not drain within 30 s";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  stopper.join();
+  ::close(fd);
   std::filesystem::remove_all(dir);
 }
 

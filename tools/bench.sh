@@ -6,8 +6,8 @@
 # spawning the one-shot CLI, with the byte-identity and cache-hit checks)
 # and A9 (multi-pattern dispatch union scans vs per-rule automaton walks
 # at 16-1024 rules, byte-identity asserted) and A10 (zero-copy mmap ingest
-# vs the copying parse with peak-RSS readings, plus vectorized frozen scan
-# kernels and literal prefilters, byte-identity asserted) benches and
+# vs the copying parse with peak-RSS readings, plus frozen table scans
+# and literal prefilters, byte-identity asserted) benches and
 # writes their google-benchmark timings as JSON next to the sources, so
 # every PR leaves a comparable perf record.
 #
