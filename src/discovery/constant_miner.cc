@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "pattern/automaton_cache.h"
 #include "pattern/containment.h"
 #include "pattern/generalizer.h"
 #include "pattern/matcher.h"
@@ -205,39 +206,41 @@ Result<std::vector<MinedRow>> MineConstantRows(
   // (contained either way) with an already-kept row's LHS carrying the same
   // RHS constant — the kept (higher-ranked) row subsumes the rule. Checking
   // both directions removes unanchored mirror keys of equal support (e.g.
-  // `\D50\D{7}` once `850\D{7}` is kept).
+  // `\D50\D{7}` once `850\D{7}` is kept). Kept rows are bucketed by RHS
+  // constant with their embedded LHS computed once. The containment
+  // automata compile into a cache owned by this call, not the engine's, so
+  // pruned candidates do not stay resident in a warm daemon.
+  struct KeptLhs {
+    Pattern pattern;
+    bool comparable;  ///< MinLength within max_containment_length
+  };
+  std::map<std::string, std::vector<KeptLhs>> kept_by_rhs;
+  AutomatonCache automata;
   std::vector<MinedRow> kept;
   for (MinedRow& candidate : mined) {
+    std::string rhs;
+    candidate.row.rhs[0].IsConstant(&rhs);
+    KeptLhs lhs{candidate.row.lhs[0].pattern().EmbeddedPattern(), false};
+    lhs.comparable =
+        lhs.pattern.MinLength() <= options.max_containment_length;
+    std::vector<KeptLhs>& bucket = kept_by_rhs[rhs];
     bool redundant = false;
-    std::string cand_rhs;
-    candidate.row.rhs[0].IsConstant(&cand_rhs);
-    const Pattern cand_lhs =
-        candidate.row.lhs[0].pattern().EmbeddedPattern();
-    for (const MinedRow& existing : kept) {
-      std::string kept_rhs;
-      existing.row.rhs[0].IsConstant(&kept_rhs);
-      if (kept_rhs != cand_rhs) continue;
-      const Pattern kept_lhs = existing.row.lhs[0].pattern().EmbeddedPattern();
-      if (cand_lhs.MinLength() > options.max_containment_length ||
-          kept_lhs.MinLength() > options.max_containment_length) {
+    for (const KeptLhs& existing : bucket) {
+      if (!lhs.comparable || !existing.comparable) {
         // Monster patterns: containment costs too much for what it prunes;
         // drop only exact duplicates.
-        if (kept_lhs == cand_lhs) {
-          redundant = true;
-          break;
-        }
-        continue;
+        redundant = existing.pattern == lhs.pattern;
+      } else {
+        redundant =
+            PatternContains(existing.pattern, lhs.pattern, &automata) ||
+            PatternContains(lhs.pattern, existing.pattern, &automata);
       }
-      if (PatternContains(kept_lhs, cand_lhs) ||
-          PatternContains(cand_lhs, kept_lhs)) {
-        redundant = true;
-        break;
-      }
+      if (redundant) break;
     }
-    if (!redundant) {
-      kept.push_back(std::move(candidate));
-      if (kept.size() >= options.max_rows) break;
-    }
+    if (redundant) continue;
+    bucket.push_back(std::move(lhs));
+    kept.push_back(std::move(candidate));
+    if (kept.size() >= options.max_rows) break;
   }
   return kept;
 }

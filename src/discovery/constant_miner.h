@@ -57,7 +57,7 @@ struct ConstantMinerOptions {
   /// of accepted entries; only the best ones are worth containment checks.
   size_t max_candidates = 512;
   /// Containment-based pruning is skipped (exact-equality fallback) for
-  /// patterns whose minimum length exceeds this — NFA containment on
+  /// patterns whose minimum length exceeds this — compiling and walking
   /// multi-thousand-state automata buys nothing for monster cells.
   uint32_t max_containment_length = 512;
   /// LHS cells longer than this are skipped entirely: a pattern rule keyed

@@ -1,171 +1,155 @@
 #include "pattern/containment.h"
 
-#include <algorithm>
-#include <map>
-#include <set>
-#include <string>
+#include <memory>
+#include <optional>
+#include <type_traits>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "pattern/nfa.h"
+#include "pattern/automaton_cache.h"
+#include "pattern/dfa.h"
 
 namespace anmat {
 
 namespace {
 
-/// Collects every literal character mentioned anywhere in a pattern
-/// (elements and conjuncts).
-void CollectLiterals(const Pattern& p, std::string* out) {
-  for (const PatternElement& e : p.elements()) {
-    if (e.cls == SymbolClass::kLiteral &&
-        out->find(e.literal) == std::string::npos) {
-      out->push_back(e.literal);
-    }
-  }
-  for (const Pattern& c : p.conjuncts()) CollectLiterals(c, out);
-}
-
-/// The finite alphabet abstraction: all mentioned literals plus one fresh
-/// representative per class (fresh = not colliding with any literal). Two
-/// characters of the same class that neither pattern names cannot be
-/// distinguished by any pattern built from these literals, so one
-/// representative per class is sound and complete.
-std::string RelevantAlphabet(const Pattern& a, const Pattern& b) {
-  std::string alphabet;
-  CollectLiterals(a, &alphabet);
-  CollectLiterals(b, &alphabet);
-  for (SymbolClass cls : {SymbolClass::kUpper, SymbolClass::kLower,
-                          SymbolClass::kDigit, SymbolClass::kSymbol}) {
-    char rep = RepresentativeChar(cls, alphabet);
-    if (rep != '\0') alphabet.push_back(rep);
-  }
-  return alphabet;
-}
-
-/// Intersection (product) automaton of a list of NFAs. Start/accept are
-/// tuples; we simulate lazily with tuple state-sets.
-struct ProductState {
-  // One state-set per component automaton (each epsilon-closed, sorted).
-  std::vector<std::vector<uint32_t>> sets;
-
-  bool operator<(const ProductState& other) const { return sets < other.sets; }
-};
-
-class ProductNfa {
+/// Visited product states of two frozen tables: a dense rows × cols
+/// bitmap (at most freeze cap² bits).
+class PairBitmap {
  public:
-  explicit ProductNfa(std::vector<Nfa> components)
-      : components_(std::move(components)) {}
+  PairBitmap(uint32_t rows, uint32_t cols)
+      : cols_(cols), bits_((static_cast<size_t>(rows) * cols + 63) / 64, 0) {}
 
-  ProductState StartState() const {
-    ProductState s;
-    s.sets.resize(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      s.sets[i] = {components_[i].start()};
-      components_[i].EpsilonClosure(&s.sets[i]);
-    }
-    return s;
-  }
-
-  /// Advances every component on `c`; returns false if any component dies
-  /// (the intersection language has no continuation).
-  bool Step(const ProductState& from, char c, ProductState* to) const {
-    to->sets.resize(components_.size());
-    for (size_t i = 0; i < components_.size(); ++i) {
-      components_[i].Step(from.sets[i], c, &to->sets[i]);
-      if (to->sets[i].empty()) return false;
-    }
-    return true;
-  }
-
-  bool Accepts(const ProductState& s) const {
-    for (size_t i = 0; i < components_.size(); ++i) {
-      if (!components_[i].Accepts(s.sets[i])) return false;
-    }
+  /// Marks (a, b); returns false when it was already marked.
+  bool Insert(uint32_t a, uint32_t b) {
+    const size_t i = static_cast<size_t>(a) * cols_ + b;
+    uint64_t& word = bits_[i >> 6];
+    const uint64_t bit = uint64_t{1} << (i & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
     return true;
   }
 
  private:
-  std::vector<Nfa> components_;
+  uint32_t cols_;
+  std::vector<uint64_t> bits_;
 };
 
-/// Compiles a pattern (with conjuncts) to the component list of its
-/// intersection automaton.
-std::vector<Nfa> CompileConjunctList(const Pattern& p) {
-  std::vector<Nfa> nfas;
-  nfas.push_back(Nfa::Compile(p));
-  for (const Pattern& c : p.conjuncts()) {
-    // Flatten nested conjuncts (rare; '&' is typically one level).
-    std::vector<Nfa> inner = CompileConjunctList(c);
-    for (Nfa& n : inner) nfas.push_back(std::move(n));
+/// Visited product states when a side is a lazy `Dfa`: its states are
+/// materialized during the walk and unbounded in number, and the pairs
+/// reached are a sparse corner of their square, so they are hashed.
+class PairSet {
+ public:
+  bool Insert(uint32_t a, uint32_t b) {
+    return pairs_.insert((uint64_t{a} << 32) | b).second;
   }
-  return nfas;
-}
 
-}  // namespace
+ private:
+  std::unordered_set<uint64_t> pairs_;
+};
 
-bool PatternContains(const Pattern& q, const Pattern& p) {
-  // Decide L(p) ⊆ L(q) by searching the product of p's intersection
-  // automaton with q's (subset-construction) automaton for a state that p
-  // accepts and q rejects.
-  const std::string alphabet = RelevantAlphabet(p, q);
+/// Decides L(p) ⊆ L(q) over two automaton tables, each accepting where all
+/// its members accept. `P`/`Q` are `FrozenDfa` or (past the freeze cap)
+/// lazy `Dfa`: both expose `table()` and `Transition(state, cls)`.
+/// `visited` starts empty.
+template <typename P, typename Q, typename Visited>
+bool ProductContained(const P& p, const Q& q, Visited* visited) {
+  const DfaTable& pt = p.table();
+  const DfaTable& qt = q.table();
+  // Bytes with equal classes in both tables drive both automata alike, so
+  // the walk steps over the distinct (p class, q class) pairs only.
+  std::vector<std::pair<uint32_t, uint32_t>> joint;
+  std::vector<bool> seen(static_cast<size_t>(pt.num_classes) * qt.num_classes,
+                         false);
+  for (int b = 0; b < 256; ++b) {
+    const uint32_t pc = pt.byte_class[b];
+    const uint32_t qc = qt.byte_class[b];
+    const size_t pair = static_cast<size_t>(pc) * qt.num_classes + qc;
+    if (seen[pair]) continue;
+    seen[pair] = true;
+    joint.emplace_back(pc, qc);
+  }
 
-  ProductNfa p_nfa(CompileConjunctList(p));
-  ProductNfa q_nfa(CompileConjunctList(q));
-
-  struct SearchState {
-    ProductState p_state;
-    ProductState q_state;  // empty sets allowed: q may be "dead"
-    bool q_alive;
-
-    bool operator<(const SearchState& other) const {
-      if (q_alive != other.q_alive) return q_alive < other.q_alive;
-      if (p_state < other.p_state) return true;
-      if (other.p_state < p_state) return false;
-      return q_state < other.q_state;
-    }
-  };
-
-  std::set<SearchState> visited;
-  std::vector<SearchState> stack;
-  SearchState start{p_nfa.StartState(), q_nfa.StartState(), true};
-  visited.insert(start);
-  stack.push_back(start);
-
+  std::vector<std::pair<uint32_t, uint32_t>> stack = {{pt.start, qt.start}};
+  visited->Insert(pt.start, qt.start);
   while (!stack.empty()) {
-    SearchState cur = stack.back();
+    const auto [ps, qs] = stack.back();
     stack.pop_back();
-
-    if (p_nfa.Accepts(cur.p_state)) {
-      if (!cur.q_alive || !q_nfa.Accepts(cur.q_state)) {
-        return false;  // counterexample string reaches here
-      }
-    }
-
-    for (char c : alphabet) {
-      SearchState next;
-      next.q_alive = cur.q_alive;
-      if (!p_nfa.Step(cur.p_state, c, &next.p_state)) {
-        continue;  // p has no continuation on c; no counterexample this way
-      }
-      if (cur.q_alive) {
-        next.q_alive = q_nfa.Step(cur.q_state, c, &next.q_state);
-        if (!next.q_alive) next.q_state = ProductState{};
-      } else {
-        next.q_state = ProductState{};
-      }
-      if (visited.insert(next).second) stack.push_back(next);
+    // Some string leads here: p accepts it, so q must too.
+    if (pt.AcceptsAll(ps) && !qt.AcceptsAll(qs)) return false;
+    for (const auto& [pc, qc] : joint) {
+      const uint32_t pn = p.Transition(ps, pc);
+      if (pn == DfaTable::kDead) continue;  // no string of L(p) goes on
+      const uint32_t qn = q.Transition(qs, qc);
+      if (visited->Insert(pn, qn)) stack.emplace_back(pn, qn);
     }
   }
   return true;
 }
 
+/// One side of a query: the table over `p`'s element sequence and its
+/// flattened conjuncts — frozen out of the cache, or a private lazy `Dfa`
+/// when the union is past the freeze cap.
+class Side {
+ public:
+  Side(const Pattern& p, AutomatonCache* automata) {
+    std::vector<const Pattern*> members = {&p};
+    FlattenConjuncts(p, &members);
+    frozen_ = automata->GetUnion(members).dfa;
+    if (frozen_ == nullptr) lazy_.emplace(members);
+  }
+
+  /// Calls `fn` with the side's automaton (`FrozenDfa` or `Dfa`).
+  template <typename Fn>
+  bool Visit(Fn fn) const {
+    return frozen_ != nullptr ? fn(*frozen_) : fn(*lazy_);
+  }
+
+ private:
+  std::shared_ptr<const FrozenDfa> frozen_;
+  std::optional<Dfa> lazy_;  ///< engaged iff `frozen_` is null
+};
+
+}  // namespace
+
+bool PatternContains(const Pattern& q, const Pattern& p,
+                     AutomatonCache* automata) {
+  if (automata == nullptr) {
+    AutomatonCache temporary;
+    return PatternContains(q, p, &temporary);
+  }
+  const Side p_side(p, automata);
+  const Side q_side(q, automata);
+  return p_side.Visit([&](const auto& pa) {
+    return q_side.Visit([&](const auto& qa) {
+      if constexpr (std::is_same_v<decltype(pa), const FrozenDfa&> &&
+                    std::is_same_v<decltype(qa), const FrozenDfa&>) {
+        PairBitmap visited(pa.table().num_states(), qa.table().num_states());
+        return ProductContained(pa, qa, &visited);
+      } else {
+        PairSet visited;
+        return ProductContained(pa, qa, &visited);
+      }
+    });
+  });
+}
+
 bool PatternEquivalent(const Pattern& a, const Pattern& b) {
-  return PatternContains(a, b) && PatternContains(b, a);
+  AutomatonCache automata;
+  return PatternContains(a, b, &automata) && PatternContains(b, a, &automata);
 }
 
 bool ConstrainedRestricts(const ConstrainedPattern& sub,
-                          const ConstrainedPattern& sup) {
+                          const ConstrainedPattern& sup,
+                          AutomatonCache* automata) {
+  if (automata == nullptr) {
+    AutomatonCache temporary;
+    return ConstrainedRestricts(sub, sup, &temporary);
+  }
   // Necessary condition: embedded containment.
-  if (!PatternContains(sup.EmbeddedPattern(), sub.EmbeddedPattern())) {
+  if (!PatternContains(sup.EmbeddedPattern(), sub.EmbeddedPattern(),
+                       automata)) {
     return false;
   }
   if (!sub.HasConstrained() || !sup.HasConstrained()) {
@@ -195,7 +179,8 @@ bool ConstrainedRestricts(const ConstrainedPattern& sub,
       // Must be covered by exactly one constrained sub segment with a
       // contained pattern (1:1 alignment keeps the check sound).
       if (si >= sub_segs.size() || !sub_segs[si].constrained) return false;
-      if (!PatternContains(sup_seg.pattern, sub_segs[si].pattern)) {
+      if (!PatternContains(sup_seg.pattern, sub_segs[si].pattern,
+                           automata)) {
         return false;
       }
       ++si;
@@ -224,7 +209,9 @@ bool ConstrainedRestricts(const ConstrainedPattern& sub,
         // sup segment is constrained too — leave it for the 1:1 match.
       }
       Pattern run_pattern(concat);
-      if (!PatternContains(sup_seg.pattern, run_pattern)) return false;
+      if (!PatternContains(sup_seg.pattern, run_pattern, automata)) {
+        return false;
+      }
       si = run_end;
     }
   }

@@ -69,6 +69,7 @@ Dfa::Dfa(const std::vector<const Pattern*>& members) {
   // loop on itself and never need lazy materialization.
   pool_entry_of_[{}] = 0;
   nfa_sets_.emplace_back();
+  set_index_.resize(16);  // a power of two; the dead state is not indexed
   table_.accept_ref.push_back(0);
   table_.transitions.assign(table_.num_classes, kDead);
   table_.start = AddDfaState(std::move(start_set));
@@ -127,8 +128,13 @@ void Dfa::Step(const std::vector<uint32_t>& from, char c,
 
 uint32_t Dfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
   const uint64_t h = HashSet(nfa_set);
-  for (const auto& [hash, id] : set_index_) {
-    if (hash == h && nfa_sets_[id] == nfa_set) return id;
+  const size_t mask = set_index_.size() - 1;
+  size_t slot = h & mask;
+  for (; set_index_[slot].second != 0; slot = (slot + 1) & mask) {
+    const uint32_t candidate = set_index_[slot].second - 1;
+    if (set_index_[slot].first == h && nfa_sets_[candidate] == nfa_set) {
+      return candidate;
+    }
   }
   const uint32_t id = static_cast<uint32_t>(nfa_sets_.size());
   // Intern the accept set. States are added in id order, so pool entries
@@ -149,10 +155,23 @@ uint32_t Dfa::AddDfaState(std::vector<uint32_t> nfa_set) const {
   }
   table_.accept_ref.push_back(entry->second);
   nfa_sets_.push_back(std::move(nfa_set));
-  set_index_.emplace_back(h, id);
+  set_index_[slot] = {h, id + 1};
+  if (2 * nfa_sets_.size() > set_index_.size()) GrowSetIndex();
   table_.transitions.resize(table_.transitions.size() + table_.num_classes,
                             kUnset);
   return id;
+}
+
+void Dfa::GrowSetIndex() const {
+  std::vector<std::pair<uint64_t, uint32_t>> old(2 * set_index_.size());
+  old.swap(set_index_);
+  const size_t mask = set_index_.size() - 1;
+  for (const auto& entry : old) {
+    if (entry.second == 0) continue;
+    size_t slot = entry.first & mask;
+    while (set_index_[slot].second != 0) slot = (slot + 1) & mask;
+    set_index_[slot] = entry;
+  }
 }
 
 uint32_t Dfa::Transition(uint32_t from, uint32_t cls) const {

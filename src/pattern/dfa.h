@@ -91,6 +91,13 @@ class Dfa {
   std::shared_ptr<const FrozenDfa> Freeze(
       size_t max_states = kDefaultMaxFrozenStates) const;
 
+  /// The lazily-filled table and the transition function that fills it,
+  /// for walks other than the probes above (containment's product of two
+  /// tables). `Transition` materializes the target state on first use, so
+  /// the table's state count grows during such a walk.
+  const DfaTable& table() const { return table_; }
+  uint32_t Transition(uint32_t from, uint32_t cls) const;
+
   /// Introspection (benchmarks / tests).
   size_t num_members() const { return table_.num_members; }
   size_t num_symbol_classes() const { return table_.num_classes; }
@@ -116,10 +123,8 @@ class Dfa {
   /// Interns an epsilon-closed merged-NFA set, returning its DFA state id
   /// (const: touches only the mutable lazy tables).
   uint32_t AddDfaState(std::vector<uint32_t> nfa_set) const;
-  /// The target of `from` on symbol class `cls`, materializing it (and any
-  /// newly-discovered DFA state) on first use.
-  uint32_t Transition(uint32_t from, uint32_t cls) const;
-
+  /// Doubles `set_index_`, re-probing every entry from its stored hash.
+  void GrowSetIndex() const;
   /// The lazy transition function handed to the shared table walk (the
   /// walks are defined in dfa.cc, where `Transition` inlines into them).
   struct Next {
@@ -143,7 +148,10 @@ class Dfa {
   mutable DfaTable table_;
   /// The epsilon-closed merged-NFA set of each materialized DFA state.
   mutable std::vector<std::vector<uint32_t>> nfa_sets_;
-  /// Hash of an NFA set -> DFA state ids with that hash (tiny buckets).
+  /// Open-addressing index over `nfa_sets_` (linear probing, at most half
+  /// full): each slot holds an NFA set's hash and its DFA state id + 1 (0
+  /// marks an empty slot). Freezing and containment walks materialize
+  /// thousands of states, so a lookup per new edge must not scan them all.
   mutable std::vector<std::pair<uint64_t, uint32_t>> set_index_;
   /// Accept set -> its entry in `table_`'s pool.
   mutable std::map<std::vector<uint32_t>, uint32_t> pool_entry_of_;

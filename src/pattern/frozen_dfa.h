@@ -75,6 +75,14 @@ struct DfaTable {
     return static_cast<uint32_t>(accept_ref.size());
   }
 
+  /// True when every member accepts in `state` — the intersection of the
+  /// members' languages (containment compiles a pattern's conjuncts as
+  /// members this way). The dead state accepts nothing.
+  bool AcceptsAll(uint32_t state) const {
+    const uint32_t ref = accept_ref[state];
+    return pool_offsets[ref + 1] - pool_offsets[ref] == num_members;
+  }
+
   /// True when `s` provably matches no member (its needle is absent).
   bool Rejects(std::string_view s) const {
     return !prefilter.empty() && !simd::ContainsLiteral(s, prefilter);
@@ -165,6 +173,13 @@ class FrozenDfa {
     if (table_.Classify(s, out, Next{table_})) {
       hits_.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+
+  /// The table and its transition function, for walks other than the
+  /// probes above (containment's product of two tables).
+  const DfaTable& table() const { return table_; }
+  uint32_t Transition(uint32_t state, uint32_t cls) const {
+    return Next{table_}(state, cls);
   }
 
   /// Introspection (benchmarks / tests / dispatch stats).

@@ -15,9 +15,9 @@
 /// type for a single pattern and for a union of patterns, whose subset
 /// construction steps each member's `Nfa` through `Step`/`EpsilonClosure`
 /// — differential-tested against this implementation (tests/dfa_test.cc,
-/// tests/dispatch_test.cc). Containment checking (containment.cc) stays on
-/// the NFA, whose explicit state sets are what the product-automaton
-/// search needs.
+/// tests/dispatch_test.cc). Containment (containment.cc) walks `Dfa`
+/// tables too; its oracle, an NFA product search, is
+/// tests/containment_reference.h.
 
 #include <cstdint>
 #include <string_view>

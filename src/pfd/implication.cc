@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "pattern/automaton_cache.h"
 #include "pattern/containment.h"
 
 namespace anmat {
@@ -12,7 +13,7 @@ namespace {
 /// Cell-level implication of one LHS cell: cell `a` is at least as general
 /// as cell `b` for the given row kind.
 bool LhsCellCovers(const TableauCell& a, const TableauCell& b,
-                   bool variable_row) {
+                   bool variable_row, AutomatonCache* automata) {
   if (a.is_wildcard()) {
     // Wildcard constant-row cell: matches everything. For variable rows a
     // wildcard keys on the whole value — the *most restrictive* relation —
@@ -22,16 +23,17 @@ bool LhsCellCovers(const TableauCell& a, const TableauCell& b,
   if (b.is_wildcard()) return false;
   if (variable_row) {
     // b's relation must refine a's: b ⊆ a.
-    return ConstrainedRestricts(b.pattern(), a.pattern());
+    return ConstrainedRestricts(b.pattern(), a.pattern(), automata);
   }
   // Constant row: a's language must contain b's.
   return PatternContains(a.pattern().EmbeddedPattern(),
-                         b.pattern().EmbeddedPattern());
+                         b.pattern().EmbeddedPattern(), automata);
 }
 
 }  // namespace
 
-bool RowImplies(const TableauRow& a, const TableauRow& b) {
+bool RowImplies(const TableauRow& a, const TableauRow& b,
+                AutomatonCache* automata) {
   if (a.lhs.size() != b.lhs.size() || a.rhs.size() != b.rhs.size()) {
     return false;
   }
@@ -56,7 +58,9 @@ bool RowImplies(const TableauRow& a, const TableauRow& b) {
   }
 
   for (size_t i = 0; i < a.lhs.size(); ++i) {
-    if (!LhsCellCovers(a.lhs[i], b.lhs[i], a_variable)) return false;
+    if (!LhsCellCovers(a.lhs[i], b.lhs[i], a_variable, automata)) {
+      return false;
+    }
   }
   return true;
 }
@@ -93,13 +97,15 @@ std::vector<Pfd> MinimizeRuleSet(const std::vector<Pfd>& pfds,
 
   // Within each group, remove rows implied by another (unremoved) row.
   // Process pairwise; ties (mutual implication, i.e. equivalent rows) keep
-  // the earlier one.
+  // the earlier one. Every pattern compiles once, into a cache owned by
+  // this call.
+  AutomatonCache automata;
   for (auto& [key, rows] : groups) {
     for (size_t i = 0; i < rows.size(); ++i) {
       if (rows[i].removed) continue;
       for (size_t j = 0; j < rows.size(); ++j) {
         if (i == j || rows[j].removed) continue;
-        if (RowImplies(*rows[i].row, *rows[j].row)) {
+        if (RowImplies(*rows[i].row, *rows[j].row, &automata)) {
           rows[j].removed = true;
         }
       }

@@ -31,9 +31,13 @@
 
 namespace anmat {
 
+class AutomatonCache;
+
 /// \brief True if tableau row `a` implies tableau row `b` (same embedded
-/// FD assumed; both rows must have identical shape).
-bool RowImplies(const TableauRow& a, const TableauRow& b);
+/// FD assumed; both rows must have identical shape). Containment queries
+/// compile through `automata` (a temporary cache per query when null).
+bool RowImplies(const TableauRow& a, const TableauRow& b,
+                AutomatonCache* automata = nullptr);
 
 /// \brief Statistics of one minimization run.
 struct MinimizeStats {

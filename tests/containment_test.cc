@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "containment_reference.h"
+#include "pattern/automaton_cache.h"
+#include "pattern/generalization_tree.h"
 #include "pattern/pattern_parser.h"
+#include "util/random.h"
 
 namespace anmat {
 namespace {
@@ -160,6 +168,109 @@ TEST(ConstrainedRestrictsTest, UnconstrainedSupRelatesAll) {
   EXPECT_TRUE(Restricts("(\\D{3})!\\D{2}", "\\D{5}"));
   // But a constrained sup is not restricted by an unconstrained sub.
   EXPECT_FALSE(Restricts("\\D{5}", "(\\D{3})!\\D{2}"));
+}
+
+// ---- Product walk vs. the NFA search oracle -----------------------------
+
+/// Draws 1..4 elements over a small literal set: literals, every class,
+/// exact / bounded / unbounded repeats (so `\A*` shows up), and now and
+/// then a one-level conjunct.
+Pattern RandomPattern(Rng& rng, bool allow_conjunct = true) {
+  static const std::vector<SymbolClass> kClasses = {
+      SymbolClass::kUpper, SymbolClass::kLower, SymbolClass::kDigit,
+      SymbolClass::kSymbol, SymbolClass::kAny};
+  static const std::string kLiterals = "aZ09- ";
+  std::vector<PatternElement> elements;
+  const size_t n = 1 + rng.NextBelow(4);
+  for (size_t i = 0; i < n; ++i) {
+    PatternElement e =
+        rng.NextBool(0.4)
+            ? PatternElement::Literal(
+                  kLiterals[rng.NextBelow(kLiterals.size())])
+            : PatternElement::Class(rng.Choose(kClasses));
+    switch (rng.NextBelow(5)) {
+      case 0:  // exactly once
+        break;
+      case 1:  // {N}
+        e.min = e.max = 1 + static_cast<uint32_t>(rng.NextBelow(3));
+        break;
+      case 2:  // {M,N}
+        e.min = static_cast<uint32_t>(rng.NextBelow(3));
+        e.max = e.min + 1 + static_cast<uint32_t>(rng.NextBelow(3));
+        break;
+      case 3:  // +
+        e.min = 1;
+        e.max = kUnbounded;
+        break;
+      case 4:  // *
+        e.min = 0;
+        e.max = kUnbounded;
+        break;
+    }
+    elements.push_back(e);
+  }
+  Pattern p(std::move(elements));
+  if (allow_conjunct && rng.NextBool(0.2)) {
+    p.AddConjunct(RandomPattern(rng, /*allow_conjunct=*/false));
+  }
+  return p;
+}
+
+/// A random widening of `p` — literals to their class, classes to `\A`,
+/// counts to ranges or stars, a `\A*` inserted, conjuncts dropped — so
+/// that the pair is often, but not always, contained.
+Pattern Widen(Rng& rng, const Pattern& p) {
+  std::vector<PatternElement> elements;
+  for (PatternElement e : p.elements()) {
+    if (rng.NextBool(0.3)) {
+      e = PatternElement::Class(e.cls == SymbolClass::kLiteral
+                                    ? ClassOfChar(e.literal)
+                                    : SymbolClass::kAny,
+                                e.min, e.max);
+    }
+    if (rng.NextBool(0.2)) e.min = e.min > 0 ? e.min - 1 : 0;
+    if (rng.NextBool(0.2)) e.max = kUnbounded;
+    if (rng.NextBool(0.1)) {
+      elements.push_back(
+          PatternElement::Class(SymbolClass::kAny, 0, kUnbounded));
+    }
+    elements.push_back(e);
+  }
+  Pattern q(std::move(elements));
+  if (rng.NextBool(0.5)) {
+    for (const Pattern& c : p.conjuncts()) q.AddConjunct(c);
+  }
+  return q;
+}
+
+TEST(ContainmentDifferentialTest, ProductWalkAgreesWithNfaSearch) {
+  Rng rng(20261017);
+  AutomatonCache frozen;
+  AutomatonCache lazy(2);  // freeze cap 2: every side walks a lazy Dfa
+  size_t contained = 0;
+  size_t not_contained = 0;
+  size_t conjunct_pairs = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const Pattern p = RandomPattern(rng);
+    Pattern q = rng.NextBool(0.6) ? Widen(rng, p) : RandomPattern(rng);
+    if (rng.NextBool(0.15)) q.AddConjunct(Widen(rng, p));
+    if (!p.conjuncts().empty() || !q.conjuncts().empty()) ++conjunct_pairs;
+    const Pattern& cq = q;
+    for (const auto& [sup, sub] : {std::pair(&cq, &p), std::pair(&p, &cq)}) {
+      const bool expected = reference::PatternContainsNfa(*sup, *sub);
+      const std::string label = sub->ToString() + " ⊆ " + sup->ToString();
+      EXPECT_EQ(PatternContains(*sup, *sub), expected) << label;
+      EXPECT_EQ(PatternContains(*sup, *sub, &frozen), expected) << label;
+      EXPECT_EQ(PatternContains(*sup, *sub, &lazy), expected) << label;
+      ++(expected ? contained : not_contained);
+    }
+  }
+  // Both verdicts, conjuncts and the lazy fallback all actually ran.
+  EXPECT_GT(contained, 500u);
+  EXPECT_GT(not_contained, 500u);
+  EXPECT_GT(conjunct_pairs, 200u);
+  EXPECT_EQ(frozen.dispatch_stats().fallbacks, 0u);
+  EXPECT_GT(lazy.dispatch_stats().fallbacks, 100u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "coverage_reference.h"
+#include "datagen/datasets.h"
+#include "discovery/discovery.h"
+#include "pattern/automaton_cache.h"
 #include "pattern/pattern_parser.h"
 
 namespace anmat {
@@ -200,6 +207,52 @@ TEST(CoverageTest, PaperTable2Scenario) {
   EXPECT_EQ(stats.violating_rows, 1u);
   EXPECT_DOUBLE_EQ(stats.Coverage(), 1.0);
   EXPECT_DOUBLE_EQ(stats.ViolationRate(), 0.25);
+}
+
+// ---- Against the row-at-a-time reference ---------------------------------
+
+TEST(CoverageDifferentialTest, DiscoveredPfdsMatchRowAtATimeReference) {
+  // min_coverage 0 keeps every mined PFD, not only the ones that pass.
+  size_t pfds_checked = 0;
+  size_t constant_rows = 0;
+  size_t variable_rows = 0;
+  for (uint64_t seed : {1, 2, 3}) {
+    const std::vector<Dataset> datasets = {
+        PhoneStateDataset(400, seed, 0.02),
+        NameGenderDataset(400, seed, 0.02),
+        ZipCityStateDataset(400, seed, 0.02),
+        EmployeeDataset(400, seed, 0.02),
+        CompoundDataset(400, seed, 0.02),
+        WebAccountDataset(200, seed, 0.02)};
+    for (const Dataset& d : datasets) {
+      for (size_t threads : {1, 4}) {
+        DiscoveryOptions options;
+        options.min_coverage = 0.0;
+        options.execution.num_threads = threads;
+        options.automata = std::make_shared<AutomatonCache>();
+        const DiscoveryResult result =
+            DiscoverPfds(d.relation, options).value();
+        for (const DiscoveredPfd& found : result.pfds) {
+          const CoverageStats expected =
+              reference::ComputeCoverageRowAtATime(found.pfd, d.relation)
+                  .value();
+          for (const CoverageStats& got :
+               {found.stats, ComputeCoverage(found.pfd, d.relation).value()}) {
+            EXPECT_EQ(got.total_rows, expected.total_rows) << d.name;
+            EXPECT_EQ(got.covered_rows, expected.covered_rows) << d.name;
+            EXPECT_EQ(got.violating_rows, expected.violating_rows) << d.name;
+          }
+          ++pfds_checked;
+          for (const TableauRow& row : found.pfd.tableau().rows()) {
+            ++(row.IsConstantRow() ? constant_rows : variable_rows);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(pfds_checked, 50u);
+  EXPECT_GT(constant_rows, 100u);
+  EXPECT_GT(variable_rows, 20u);
 }
 
 }  // namespace
