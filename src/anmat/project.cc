@@ -157,11 +157,27 @@ Result<Project::DatasetEntry> Project::FindDataset(
                             "discover with --data first");
   }
   if (name.empty()) return datasets_.back();
-  for (const DatasetEntry& e : datasets_) {
-    if (e.name == name) return e;
+  const std::string stem = std::filesystem::path(name).stem().string();
+  for (const std::string& candidate : {name, stem}) {
+    for (const DatasetEntry& e : datasets_) {
+      if (e.name == candidate) return e;
+    }
   }
   return Status::NotFound("no dataset named \"" + name +
                           "\" in project catalog");
+}
+
+Result<Project::DatasetEntry> Project::CheckDataset(
+    const std::string& name) const {
+  ANMAT_ASSIGN_OR_RETURN(DatasetEntry entry, FindDataset(name));
+  const std::string header = FingerprintCsvHeader(entry.path, CsvOptions());
+  if (!entry.fingerprint.empty() && !header.empty() &&
+      header != entry.fingerprint) {
+    // The header changed: fail as LoadDataset does (its message lists the
+    // columns with the types a full read infers).
+    ANMAT_RETURN_NOT_OK(LoadDataset(entry.name).status());
+  }
+  return entry;
 }
 
 Result<Relation> Project::LoadDataset(const std::string& name,

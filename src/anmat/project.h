@@ -158,7 +158,16 @@ class Project {
                        const CsvOptions& options = CsvOptions());
 
   /// Entry by name; empty name = the project default (last attached).
+  /// A name no entry has may be the CSV path that attached one (`discover
+  /// --data` names the dataset after the file's stem), so the stem is
+  /// tried next; the NotFound error names `name` as given.
   Result<DatasetEntry> FindDataset(const std::string& name = "") const;
+
+  /// `FindDataset` for a caller that reads the CSV itself (`anmat stream
+  /// --project`): fails like `LoadDataset` when the file's header no
+  /// longer matches the recorded schema. A header that cannot be read is
+  /// left for the caller's own read to report.
+  Result<DatasetEntry> CheckDataset(const std::string& name = "") const;
 
   /// Reads the named (or default) dataset's CSV from its recorded path.
   Result<Relation> LoadDataset(const std::string& name = "",

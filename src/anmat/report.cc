@@ -14,6 +14,20 @@ std::string FormatDouble(double v, int precision = 3) {
   return buf;
 }
 
+const char* RecoveryActionName(JournalRecoveryReport::Action action) {
+  switch (action) {
+    case JournalRecoveryReport::Action::kClean:
+      return "clean";
+    case JournalRecoveryReport::Action::kReplayed:
+      return "replayed";
+    case JournalRecoveryReport::Action::kDiscarded:
+      return "discarded";
+  }
+  return "unknown";
+}
+
+JsonValue Count(size_t n) { return JsonValue::Int(static_cast<int64_t>(n)); }
+
 }  // namespace
 
 std::string RenderProfilingView(const std::vector<ColumnProfile>& profiles) {
@@ -409,6 +423,167 @@ JsonValue RuleSetToJson(const RuleSet& rules) {
   JsonValue root = JsonValue::Object();
   root.Set("rules", std::move(arr));
   return root;
+}
+
+VerbResult ProfileReport(const std::vector<ColumnProfile>& profiles) {
+  return {ProfilesToJson(profiles), RenderProfilingView(profiles)};
+}
+
+VerbResult DetectReport(const Relation& relation,
+                        const std::vector<Pfd>& pfds,
+                        DetectionResult detection,
+                        std::optional<size_t> max) {
+  VerbResult out;
+  out.text =
+      RenderViolationsView(relation, pfds, detection, max.value_or(50));
+  if (max.has_value() && detection.violations.size() > *max) {
+    detection.violations.resize(*max);
+  }
+  out.result = DetectionToJson(relation, pfds, detection);
+  return out;
+}
+
+VerbResult RepairReport(const RepairResult& result,
+                        const std::vector<Pfd>& pfds,
+                        const std::string& out_path) {
+  VerbResult out{RepairToJson(result, pfds), RenderRepairView(result)};
+  if (!out_path.empty()) {
+    out.text += "wrote cleaned table to " + out_path + "\n";
+  }
+  return out;
+}
+
+VerbResult DiscoverReport(const std::vector<DiscoveredPfd>& discovered,
+                          const RuleSet& rules,
+                          const std::string& rules_path) {
+  return {RuleSetToJson(rules),
+          RenderDiscoveredPfdsView(discovered) + "\nrecorded " +
+              std::to_string(discovered.size()) +
+              " rule(s) as discovered in " + rules_path +
+              " (review with 'anmat rules list', apply with 'anmat rules "
+              "confirm')\n"};
+}
+
+VerbResult RuleSetReport(const RuleSet& rules) {
+  return {RuleSetToJson(rules), RenderRuleSetView(rules)};
+}
+
+VerbResult RulesMarkedReport(size_t marked, RuleStatus status,
+                             size_t confirmed) {
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("marked", Count(marked));
+  out.result.Set("confirmed", Count(confirmed));
+  out.text = "marked " + std::to_string(marked) + " rule(s) " +
+             RuleStatusName(status) + "; " + std::to_string(confirmed) +
+             " rule(s) now confirmed\n";
+  return out;
+}
+
+VerbResult RulesDeletedReport(size_t deleted, size_t remaining) {
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("deleted", Count(deleted));
+  out.result.Set("remaining", Count(remaining));
+  out.text = "deleted " + std::to_string(deleted) + " rule(s); " +
+             std::to_string(remaining) +
+             " rule(s) remain (ids are never reused)\n";
+  return out;
+}
+
+VerbResult RuleAnnotatedReport(uint64_t id, const std::string& note) {
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("id", Count(id));
+  out.result.Set("note", JsonValue::String(note));
+  out.text = "annotated rule " + std::to_string(id) + "\n";
+  return out;
+}
+
+VerbResult StreamBatchReport(const DetectionStream& stream, size_t rows,
+                             size_t violations) {
+  const size_t repairs = stream.batch_repairs().size();
+  const size_t conflicts = stream.batch_conflicts().size();
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("rows", Count(rows));
+  out.result.Set("cumulative_violations", Count(violations));
+  out.result.Set("repairs", Count(repairs));
+  out.result.Set("conflicts", Count(conflicts));
+  out.text = "batch " + std::to_string(stream.num_batches()) + ": +" +
+             std::to_string(rows) + " row(s), cumulative violations " +
+             std::to_string(violations) + ", repairs " +
+             std::to_string(repairs) + ", conflicts " +
+             std::to_string(conflicts) + "\n";
+  return out;
+}
+
+VerbResult StreamCloseReport(const DetectionStream& stream,
+                             const std::string& clean, size_t violations,
+                             const std::vector<Pfd>& pfds,
+                             const std::string& out_path) {
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("rows", Count(stream.relation().num_rows()));
+  out.result.Set("batches", Count(stream.num_batches()));
+  out.result.Set("clean", JsonValue::String(clean));
+  out.result.Set("distinct_values", Count(stream.distinct_values()));
+  out.result.Set("violations", Count(violations));
+  JsonValue repairs = JsonValue::Array();
+  for (const AppliedRepair& r : stream.repairs()) {
+    repairs.push_back(AppliedRepairToJson(r, pfds));
+  }
+  out.result.Set("repairs", std::move(repairs));
+  JsonValue conflicts = JsonValue::Array();
+  for (const StreamConflict& c : stream.conflicts()) {
+    conflicts.push_back(StreamConflictToJson(c));
+  }
+  out.result.Set("conflicts", std::move(conflicts));
+
+  out.text = "streamed " + std::to_string(stream.relation().num_rows()) +
+             " row(s) in " + std::to_string(stream.num_batches()) +
+             " batch(es): " + std::to_string(violations) + " violation(s)";
+  if (clean != "off") {
+    out.text += ", " + std::to_string(stream.repairs().size()) +
+                " repair(s) applied on ingest, " +
+                std::to_string(stream.conflicts().size()) + " conflict(s)";
+  }
+  out.text += "\n";
+  for (const StreamConflict& c : stream.conflicts()) {
+    out.text += std::string("conflict [") + StreamConflictKindName(c) +
+                "] row " + std::to_string(c.cell.row) + " column " +
+                std::to_string(c.cell.column) + ": kept \"" + c.current +
+                "\", one-shot repair would hold \"" + c.expected +
+                "\" (rule " + std::to_string(c.pfd_index) + ", batch " +
+                std::to_string(c.batch + 1) + ")\n";
+  }
+  if (!out_path.empty()) {
+    out.text += "wrote accumulated table to " + out_path + "\n";
+  }
+  return out;
+}
+
+VerbResult FsckReport(const JournalRecoveryReport& recovery,
+                      const Project* project, const Status& error) {
+  VerbResult out;
+  out.result = JsonValue::Object();
+  out.result.Set("action",
+                 JsonValue::String(RecoveryActionName(recovery.action)));
+  out.result.Set("detail", JsonValue::String(recovery.detail));
+  out.result.Set("files_applied", Count(recovery.files_applied));
+  out.result.Set("truncated_tail", JsonValue::Bool(recovery.truncated_tail));
+  out.result.Set("healthy", JsonValue::Bool(project != nullptr));
+  out.text = "journal: " + recovery.detail + "\n";
+  if (project == nullptr) {
+    out.result.Set("error", JsonValue::String(error.ToString()));
+    out.text += "project: CORRUPT — " + error.ToString() + "\n";
+  } else {
+    out.text += "project: healthy (\"" + project->name() + "\", " +
+                std::to_string(project->datasets().size()) +
+                " dataset(s), " + std::to_string(project->rules().size()) +
+                " rule(s))\n";
+  }
+  return out;
 }
 
 }  // namespace anmat

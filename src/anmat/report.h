@@ -4,11 +4,14 @@
 /// \file report.h
 /// Text renderers for the demo's three views (Figures 3-5) and for the
 /// Table-3 style summary. These are the CLI substitutes for the paper's
-/// GUI (DESIGN.md §2).
+/// GUI (DESIGN.md §2). The verb reports at the end build each CLI verb's
+/// whole output, JSON and text, in one place.
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "anmat/project.h"
 #include "anmat/session.h"
 #include "datagen/error_injector.h"
 #include "detect/detection_stream.h"
@@ -97,6 +100,66 @@ const char* StreamConflictKindName(const StreamConflict& conflict);
 /// array in `anmat stream --format json`, shared with the daemon so both
 /// front-ends emit identical bytes.
 JsonValue StreamConflictToJson(const StreamConflict& conflict);
+
+// -- Verb reports ------------------------------------------------------------
+// Each CLI verb's whole output is built once, here: the CLI prints these
+// for its one-shot forms, and `ProjectHost`, which runs every project verb
+// in-process or in the daemon, returns them.
+
+/// \brief A verb's output: `result` under --format json, `text` otherwise.
+struct VerbResult {
+  JsonValue result;
+  std::string text;
+};
+
+VerbResult ProfileReport(const std::vector<ColumnProfile>& profiles);
+
+/// \brief Without `max` the text lists 50 violations and the JSON all; with
+/// it both list the first `max`, the JSON stats keeping the full counts.
+VerbResult DetectReport(const Relation& relation,
+                        const std::vector<Pfd>& pfds,
+                        DetectionResult detection,
+                        std::optional<size_t> max);
+
+/// \brief `out_path`, when non-empty, is where the cleaned table went.
+VerbResult RepairReport(const RepairResult& result,
+                        const std::vector<Pfd>& pfds,
+                        const std::string& out_path);
+
+/// \brief `discover --project`: the rule store as JSON; the discovered
+/// view and where it was recorded as text.
+VerbResult DiscoverReport(const std::vector<DiscoveredPfd>& discovered,
+                          const RuleSet& rules,
+                          const std::string& rules_path);
+
+VerbResult RuleSetReport(const RuleSet& rules);
+
+/// \brief `rules confirm|reject`: `marked` rules set to `status`,
+/// `confirmed` confirmed afterwards.
+VerbResult RulesMarkedReport(size_t marked, RuleStatus status,
+                             size_t confirmed);
+VerbResult RulesDeletedReport(size_t deleted, size_t remaining);
+VerbResult RuleAnnotatedReport(uint64_t id, const std::string& note);
+
+/// \brief One stream batch of `rows` rows, just appended to `stream`,
+/// which now holds `violations` violations in all.
+VerbResult StreamBatchReport(const DetectionStream& stream, size_t rows,
+                             size_t violations);
+
+/// \brief A stream run's summary after its last batch: `clean` is the mode
+/// (off, constant or all), `violations` the cumulative count, `pfds` the
+/// stream's rules, `out_path` (when non-empty) where the accumulated table
+/// went. The JSON's "batches" is a count; `anmat stream --format json`
+/// puts the batch reports' JSON there instead.
+VerbResult StreamCloseReport(const DetectionStream& stream,
+                             const std::string& clean, size_t violations,
+                             const std::vector<Pfd>& pfds,
+                             const std::string& out_path);
+
+/// \brief `project fsck`: what journal recovery did, and the project as it
+/// then opened, or (`project` null) why it did not.
+VerbResult FsckReport(const JournalRecoveryReport& recovery,
+                      const Project* project, const Status& error);
 
 }  // namespace anmat
 

@@ -17,7 +17,8 @@
 ///     to rows containing that token.
 ///
 /// Retrieval is a superset of the true match set; every candidate is
-/// verified with the NFA matcher, so results are exact.
+/// verified with the DFA-backed `PatternMatcher` (matcher.h), so results
+/// are exact.
 
 #include <atomic>
 #include <cstdint>

@@ -139,9 +139,12 @@ class Daemon {
   /// serialized response payload.
   std::string ExecuteVerb(const ServiceRequest& request);
 
-  /// The host serving `dir`, opening it on first use. Opens of the same
-  /// directory are serialized so a project is never hosted twice.
-  Result<ProjectHost*> GetOrOpenHost(const std::string& dir);
+  /// The host serving `dir`, opening it on first use; with `init_name`,
+  /// initializes a fresh project there (named `*init_name`) and hosts it.
+  /// Opens of the same directory are serialized so a project is never
+  /// hosted twice.
+  Result<ProjectHost*> GetOrOpenHost(const std::string& dir,
+                                     const std::string* init_name = nullptr);
 
   JsonValue StatsJson();
 

@@ -1,11 +1,10 @@
 #include "service/project_host.h"
 
 #include <filesystem>
+#include <optional>
 #include <utility>
 
-#include "anmat/report.h"
 #include "csv/csv_writer.h"
-#include "store/project_journal.h"
 
 namespace anmat {
 namespace {
@@ -30,11 +29,7 @@ Result<int64_t> ParamInt(const JsonValue& params, const char* key,
                          int64_t fallback) {
   const JsonValue* v = params.Get(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    return Status::InvalidArgument(std::string("param \"") + key +
-                                   "\" must be a number");
-  }
-  return v->as_int();
+  return JsonToInt(*v, key);
 }
 
 Result<double> ParamDouble(const JsonValue& params, const char* key,
@@ -58,24 +53,13 @@ Result<std::vector<uint64_t>> ParamIds(const JsonValue& params) {
   std::vector<uint64_t> ids;
   ids.reserve(v->size());
   for (const JsonValue& item : v->items()) {
-    if (!item.is_number() || item.as_int() <= 0) {
+    ANMAT_ASSIGN_OR_RETURN(const int64_t id, JsonToInt(item, "ids"));
+    if (id <= 0) {
       return Status::InvalidArgument("not a rule id: " + item.Dump());
     }
-    ids.push_back(static_cast<uint64_t>(item.as_int()));
+    ids.push_back(static_cast<uint64_t>(id));
   }
   return ids;
-}
-
-const char* RecoveryActionName(JournalRecoveryReport::Action action) {
-  switch (action) {
-    case JournalRecoveryReport::Action::kClean:
-      return "clean";
-    case JournalRecoveryReport::Action::kReplayed:
-      return "replayed";
-    case JournalRecoveryReport::Action::kDiscarded:
-      return "discarded";
-  }
-  return "unknown";
 }
 
 }  // namespace
@@ -85,25 +69,7 @@ ProjectHost::ProjectHost(Project project, const Options& options)
       dir_(project_.dir()),
       engine_(ExecutionOptions{options.engine_threads, true, nullptr}) {}
 
-Result<std::unique_ptr<ProjectHost>> ProjectHost::Open(
-    const std::string& dir, const Options& options) {
-  Project::OpenOptions open_options;
-  open_options.lock_wait_ms = options.lock_wait_ms;
-  ANMAT_ASSIGN_OR_RETURN(Project project, Project::Open(dir, open_options));
-  return std::unique_ptr<ProjectHost>(
-      new ProjectHost(std::move(project), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
-}
-
-Result<std::unique_ptr<ProjectHost>> ProjectHost::Init(
-    const std::string& dir, std::string name, const Options& options) {
-  ANMAT_ASSIGN_OR_RETURN(Project project,
-                         Project::Init(dir, std::move(name)));
-  ANMAT_RETURN_NOT_OK(project.Save());
-  return std::unique_ptr<ProjectHost>(
-      new ProjectHost(std::move(project), options));  // lint: new-ok (private ctor, owned by the unique_ptr)
-}
-
-Result<ProjectHost::VerbResult> ProjectHost::Dispatch(
+Result<VerbResult> ProjectHost::Dispatch(
     const std::string& verb, const JsonValue& params) {
   if (verb == "info") return Info();
   if (verb == "fsck") return Fsck();
@@ -161,22 +127,35 @@ size_t ProjectHost::num_streams() {
   return streams_.size();
 }
 
-Result<Relation> ProjectHost::LoadData(const JsonValue& params) {
-  ANMAT_ASSIGN_OR_RETURN(const std::string value,
-                         ParamString(params, "data", ""));
-  if (value.empty()) return project_.LoadDataset("");
-  // Same resolution as the CLI's --data: a catalog name first, then the
-  // path spelling that attached it (its stem).
-  auto entry = project_.FindDataset(value);
-  if (entry.ok()) return project_.LoadDataset(value);
-  const std::string stem = std::filesystem::path(value).stem().string();
-  if (!stem.empty() && stem != value && project_.FindDataset(stem).ok()) {
-    return project_.LoadDataset(stem);
+Result<std::vector<Pfd>> ProjectHost::ConfirmedRules() {
+  std::vector<Pfd> rules = project_.ConfirmedPfds();
+  if (rules.empty()) {
+    return Status::InvalidArgument(
+        "project has no confirmed rules; run 'anmat rules confirm'");
   }
-  return entry.status();
+  return rules;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Info() {
+Result<std::shared_ptr<ProjectHost::StreamEntry>> ProjectHost::FindStream(
+    const JsonValue& params, bool remove) {
+  ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "stream", 0));
+  MutexLock lock(&streams_mu_);
+  auto it = streams_.find(static_cast<uint64_t>(id));
+  if (it == streams_.end()) {
+    return Status::NotFound("no open stream with id " + std::to_string(id));
+  }
+  std::shared_ptr<StreamEntry> entry = it->second;
+  if (remove) streams_.erase(it);
+  return entry;
+}
+
+Result<Relation> ProjectHost::LoadData(const JsonValue& params) {
+  ANMAT_ASSIGN_OR_RETURN(const std::string data,
+                         ParamString(params, "data", ""));
+  return project_.LoadDataset(data);
+}
+
+Result<VerbResult> ProjectHost::Info() {
   ReaderMutexLock gate(&gate_);
   VerbResult out;
   out.result = JsonValue::Object();
@@ -196,56 +175,33 @@ Result<ProjectHost::VerbResult> ProjectHost::Info() {
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Fsck() {
-  // The host ran journal recovery when it opened and has held the project
-  // lock ever since — no save can have torn in between — so fsck reports
-  // that recovery plus the live (healthy by construction) state. Matches
-  // the shape of `anmat project fsck --format json`.
+Result<VerbResult> ProjectHost::Fsck() {
+  // The host's project ran journal recovery when it opened, and the open
+  // project loaded, so fsck reports that recovery plus the live (healthy
+  // by construction) state, through the report the CLI's direct
+  // `anmat project fsck` prints.
   ReaderMutexLock gate(&gate_);
-  const JournalRecoveryReport& report = project_.recovery();
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("action",
-                 JsonValue::String(RecoveryActionName(report.action)));
-  out.result.Set("detail", JsonValue::String(report.detail));
-  out.result.Set("files_applied", JsonValue::Int(static_cast<int64_t>(
-                                      report.files_applied)));
-  out.result.Set("truncated_tail", JsonValue::Bool(report.truncated_tail));
-  out.result.Set("healthy", JsonValue::Bool(true));
-  out.text = "journal: " + report.detail + "\n" + "project: healthy (\"" +
-             project_.name() + "\", " +
-             std::to_string(project_.datasets().size()) + " dataset(s), " +
-             std::to_string(project_.rules().size()) + " rule(s))\n";
-  return out;
+  return FsckReport(project_.recovery(), &project_, Status::OK());
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Dataset(
-    const JsonValue& params) {
-  // Resolves --data the same way LoadData does, but returns the catalog
-  // entry instead of the rows: a remote client (the CLI's stream mode)
-  // reads the CSV itself and feeds batches over the socket.
+Result<VerbResult> ProjectHost::Dataset(const JsonValue& params) {
+  // Resolves `data` like LoadData, but returns the catalog entry instead
+  // of the rows: `anmat stream --project` reads the CSV itself and feeds
+  // it batch by batch.
   ReaderMutexLock gate(&gate_);
-  ANMAT_ASSIGN_OR_RETURN(const std::string value,
+  ANMAT_ASSIGN_OR_RETURN(const std::string data,
                          ParamString(params, "data", ""));
-  Result<Project::DatasetEntry> entry = project_.FindDataset(value);
-  if (!entry.ok() && !value.empty()) {
-    const std::string stem = std::filesystem::path(value).stem().string();
-    if (!stem.empty() && stem != value) {
-      Result<Project::DatasetEntry> by_stem = project_.FindDataset(stem);
-      if (by_stem.ok()) entry = std::move(by_stem);
-    }
-  }
-  ANMAT_RETURN_NOT_OK(entry.status());
+  ANMAT_ASSIGN_OR_RETURN(const Project::DatasetEntry entry,
+                         project_.CheckDataset(data));
   VerbResult out;
   out.result = JsonValue::Object();
-  out.result.Set("name", JsonValue::String(entry->name));
-  out.result.Set("path", JsonValue::String(entry->path));
-  out.text = entry->name + ": " + entry->path + "\n";
+  out.result.Set("name", JsonValue::String(entry.name));
+  out.result.Set("path", JsonValue::String(entry.path));
+  out.text = entry.name + ": " + entry.path + "\n";
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Discover(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
 
   Project::Parameters parameters = project_.parameters();
@@ -282,82 +238,47 @@ Result<ProjectHost::VerbResult> ProjectHost::Discover(
   }
   ANMAT_RETURN_NOT_OK(project_.Save());
 
-  VerbResult out;
-  out.result = RuleSetToJson(project_.rules());
-  out.text = RenderDiscoveredPfdsView(discovery.pfds) + "\nrecorded " +
-             std::to_string(discovery.pfds.size()) +
-             " rule(s) as discovered in " + project_.rules_path() +
-             " (review with 'anmat rules list', apply with 'anmat rules "
-             "confirm')\n";
-  return out;
+  return DiscoverReport(discovery.pfds, project_.rules(),
+                        project_.rules_path());
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Profile(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::Profile(const JsonValue& params) {
   ReaderMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<ColumnProfile> profiles = engine_.Profile(relation);
-  VerbResult out;
-  out.result = ProfilesToJson(profiles);
-  out.text = RenderProfilingView(profiles);
-  return out;
+  return ProfileReport(engine_.Profile(relation));
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Detect(const JsonValue& params) {
+Result<VerbResult> ProjectHost::Detect(const JsonValue& params) {
   ReaderMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<Pfd> rules = project_.ConfirmedPfds();
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
+  ANMAT_ASSIGN_OR_RETURN(const std::vector<Pfd> rules, ConfirmedRules());
   ANMAT_ASSIGN_OR_RETURN(DetectionResult detection,
                          engine_.Detect(relation, rules));
   ANMAT_ASSIGN_OR_RETURN(const int64_t max, ParamInt(params, "max", -1));
-
-  VerbResult out;
-  out.text = RenderViolationsView(relation, rules, detection,
-                                  max >= 0 ? static_cast<size_t>(max) : 50);
-  // Like the CLI's --max under --format json: cap the violations array but
-  // keep the full counts in the stats block so the truncation is visible.
-  if (max >= 0 && detection.violations.size() > static_cast<size_t>(max)) {
-    detection.violations.resize(static_cast<size_t>(max));
-  }
-  out.result = DetectionToJson(relation, rules, detection);
-  return out;
+  return DetectReport(relation, rules, std::move(detection),
+                      max >= 0 ? std::optional<size_t>(max) : std::nullopt);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::Repair(const JsonValue& params) {
+Result<VerbResult> ProjectHost::Repair(const JsonValue& params) {
   ReaderMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(Relation relation, LoadData(params));
-  const std::vector<Pfd> rules = project_.ConfirmedPfds();
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
-  }
+  ANMAT_ASSIGN_OR_RETURN(const std::vector<Pfd> rules, ConfirmedRules());
   ANMAT_ASSIGN_OR_RETURN(RepairResult result,
                          engine_.Repair(&relation, rules));
-  VerbResult out;
-  out.result = RepairToJson(result, rules);
-  out.text = RenderRepairView(result);
   ANMAT_ASSIGN_OR_RETURN(const std::string out_path,
                          ParamString(params, "out", ""));
   if (!out_path.empty()) {
     ANMAT_RETURN_NOT_OK(WriteCsvFile(relation, out_path));
-    out.text += "wrote cleaned table to " + out_path + "\n";
   }
-  return out;
+  return RepairReport(result, rules, out_path);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesList() {
+Result<VerbResult> ProjectHost::RulesList() {
   ReaderMutexLock gate(&gate_);
-  VerbResult out;
-  out.result = RuleSetToJson(project_.rules());
-  out.text = RenderRuleSetView(project_.rules());
-  return out;
+  return RuleSetReport(project_.rules());
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesSetStatus(
+Result<VerbResult> ProjectHost::RulesSetStatus(
     const JsonValue& params, RuleStatus status) {
   WriterMutexLock gate(&gate_);
   std::vector<uint64_t> ids;
@@ -380,20 +301,11 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesSetStatus(
   }
   ANMAT_RETURN_NOT_OK(project_.Save());
 
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("marked", JsonValue::Int(static_cast<int64_t>(ids.size())));
-  out.result.Set("confirmed", JsonValue::Int(static_cast<int64_t>(
-                                  project_.ConfirmedPfds().size())));
-  out.text = "marked " + std::to_string(ids.size()) + " rule(s) " +
-             RuleStatusName(status) + "; " +
-             std::to_string(project_.ConfirmedPfds().size()) +
-             " rule(s) now confirmed\n";
-  return out;
+  return RulesMarkedReport(ids.size(), status,
+                           project_.ConfirmedPfds().size());
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesDelete(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::RulesDelete(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(const std::vector<uint64_t> ids, ParamIds(params));
   for (uint64_t id : ids) {
@@ -402,19 +314,10 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesDelete(
   }
   ANMAT_RETURN_NOT_OK(project_.Save());
 
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("deleted", JsonValue::Int(static_cast<int64_t>(ids.size())));
-  out.result.Set("remaining", JsonValue::Int(static_cast<int64_t>(
-                                  project_.rules().size())));
-  out.text = "deleted " + std::to_string(ids.size()) + " rule(s); " +
-             std::to_string(project_.rules().size()) +
-             " rule(s) remain (ids are never reused)\n";
-  return out;
+  return RulesDeletedReport(ids.size(), project_.rules().size());
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::RulesAnnotate(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::RulesAnnotate(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
   ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "id", 0));
   if (id <= 0) {
@@ -426,24 +329,14 @@ Result<ProjectHost::VerbResult> ProjectHost::RulesAnnotate(
       project_.AnnotateRule(static_cast<uint64_t>(id), note));
   ANMAT_RETURN_NOT_OK(project_.Save());
 
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("id", JsonValue::Int(id));
-  out.result.Set("note", JsonValue::String(note));
-  out.text = "annotated rule " + std::to_string(id) + "\n";
-  return out;
+  return RuleAnnotatedReport(static_cast<uint64_t>(id), note);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamOpen(
-    const JsonValue& params) {
+Result<VerbResult> ProjectHost::StreamOpen(const JsonValue& params) {
   std::vector<Pfd> rules;
   {
     ReaderMutexLock gate(&gate_);
-    rules = project_.ConfirmedPfds();
-  }
-  if (rules.empty()) {
-    return Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'");
+    ANMAT_ASSIGN_OR_RETURN(rules, ConfirmedRules());
   }
   const JsonValue* columns = params.Get("columns");
   if (columns == nullptr || !columns->is_array()) {
@@ -501,19 +394,9 @@ Result<ProjectHost::VerbResult> ProjectHost::StreamOpen(
   return out;
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamAppend(
-    const JsonValue& params) {
-  ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "stream", 0));
-  std::shared_ptr<StreamEntry> entry;
-  {
-    MutexLock lock(&streams_mu_);
-    auto it = streams_.find(static_cast<uint64_t>(id));
-    if (it == streams_.end()) {
-      return Status::NotFound("no open stream with id " +
-                              std::to_string(id));
-    }
-    entry = it->second;
-  }
+Result<VerbResult> ProjectHost::StreamAppend(const JsonValue& params) {
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<StreamEntry> entry,
+                         FindStream(params, /*remove=*/false));
   const JsonValue* rows = params.Get("rows");
   if (rows == nullptr || !rows->is_array()) {
     return Status::InvalidArgument(
@@ -543,92 +426,22 @@ Result<ProjectHost::VerbResult> ProjectHost::StreamAppend(
   ANMAT_ASSIGN_OR_RETURN(DetectionResult cumulative,
                          entry->stream->AppendRows(batch));
   entry->last_violations = cumulative.violations.size();
-
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(batch.size())));
-  out.result.Set("cumulative_violations",
-                 JsonValue::Int(static_cast<int64_t>(
-                     cumulative.violations.size())));
-  out.result.Set("repairs", JsonValue::Int(static_cast<int64_t>(
-                                entry->stream->batch_repairs().size())));
-  out.result.Set("conflicts", JsonValue::Int(static_cast<int64_t>(
-                                  entry->stream->batch_conflicts().size())));
-  out.text = "batch " + std::to_string(entry->stream->num_batches()) + ": +" +
-             std::to_string(batch.size()) + " row(s), cumulative violations " +
-             std::to_string(cumulative.violations.size()) + ", repairs " +
-             std::to_string(entry->stream->batch_repairs().size()) +
-             ", conflicts " +
-             std::to_string(entry->stream->batch_conflicts().size()) + "\n";
-  return out;
+  return StreamBatchReport(*entry->stream, batch.size(),
+                           entry->last_violations);
 }
 
-Result<ProjectHost::VerbResult> ProjectHost::StreamClose(
-    const JsonValue& params) {
-  ANMAT_ASSIGN_OR_RETURN(const int64_t id, ParamInt(params, "stream", 0));
-  std::shared_ptr<StreamEntry> entry;
-  {
-    MutexLock lock(&streams_mu_);
-    auto it = streams_.find(static_cast<uint64_t>(id));
-    if (it == streams_.end()) {
-      return Status::NotFound("no open stream with id " +
-                              std::to_string(id));
-    }
-    entry = std::move(it->second);
-    streams_.erase(it);
-  }
+Result<VerbResult> ProjectHost::StreamClose(const JsonValue& params) {
+  ANMAT_ASSIGN_OR_RETURN(const std::shared_ptr<StreamEntry> entry,
+                         FindStream(params, /*remove=*/true));
   // A straggling append that raced the close finishes first.
   MutexLock lock(&entry->mu);
-  const DetectionStream& stream = *entry->stream;
-
-  VerbResult out;
-  out.result = JsonValue::Object();
-  out.result.Set("rows", JsonValue::Int(static_cast<int64_t>(
-                             stream.relation().num_rows())));
-  out.result.Set("batches",
-                 JsonValue::Int(static_cast<int64_t>(stream.num_batches())));
-  out.result.Set("clean", JsonValue::String(entry->clean));
-  out.result.Set("distinct_values", JsonValue::Int(static_cast<int64_t>(
-                                        stream.distinct_values())));
-  out.result.Set("violations", JsonValue::Int(static_cast<int64_t>(
-                                   entry->last_violations)));
-  JsonValue repairs = JsonValue::Array();
-  for (const AppliedRepair& r : stream.repairs()) {
-    repairs.push_back(AppliedRepairToJson(r, entry->pfds));
-  }
-  out.result.Set("repairs", std::move(repairs));
-  JsonValue conflicts = JsonValue::Array();
-  for (const StreamConflict& c : stream.conflicts()) {
-    conflicts.push_back(StreamConflictToJson(c));
-  }
-  out.result.Set("conflicts", std::move(conflicts));
-
-  out.text = "streamed " + std::to_string(stream.relation().num_rows()) +
-             " row(s) in " + std::to_string(stream.num_batches()) +
-             " batch(es): " + std::to_string(entry->last_violations) +
-             " violation(s)";
-  if (entry->clean != "off") {
-    out.text += ", " + std::to_string(stream.repairs().size()) +
-                " repair(s) applied on ingest, " +
-                std::to_string(stream.conflicts().size()) + " conflict(s)";
-  }
-  out.text += "\n";
-  for (const StreamConflict& c : stream.conflicts()) {
-    out.text += std::string("conflict [") + StreamConflictKindName(c) +
-                "] row " + std::to_string(c.cell.row) + " column " +
-                std::to_string(c.cell.column) + ": kept \"" + c.current +
-                "\", one-shot repair would hold \"" + c.expected +
-                "\" (rule " + std::to_string(c.pfd_index) + ", batch " +
-                std::to_string(c.batch + 1) + ")\n";
-  }
-
   ANMAT_ASSIGN_OR_RETURN(const std::string out_path,
                          ParamString(params, "out", ""));
   if (!out_path.empty()) {
-    ANMAT_RETURN_NOT_OK(WriteCsvFile(stream.relation(), out_path));
-    out.text += "wrote accumulated table to " + out_path + "\n";
+    ANMAT_RETURN_NOT_OK(WriteCsvFile(entry->stream->relation(), out_path));
   }
-  return out;
+  return StreamCloseReport(*entry->stream, entry->clean,
+                           entry->last_violations, entry->pfds, out_path);
 }
 
 }  // namespace anmat

@@ -2,27 +2,29 @@
 #define ANMAT_SERVICE_PROJECT_HOST_H_
 
 /// \file project_host.h
-/// One warm, daemon-resident project: Project + Engine + stream registry.
+/// One open project with an engine: the single implementation of every
+/// project verb.
 ///
-/// A `ProjectHost` is what makes the daemon worth running. A one-shot CLI
-/// invocation pays process spawn, project open (lock + recovery + catalog
-/// parse) and automaton compilation on *every* command; a host pays them
-/// once and then serves requests against:
+/// The CLI's `--project` mode runs a host in its own process over the
+/// project it opened (read-only for reporting verbs, writable for discover
+/// and the rules edits) and dispatches one verb. The daemon (daemon.h)
+/// keeps one host per project, and so its flock, for its lifetime; the
+/// CLI's `--connect` mode sends it the same verb and params. Either way
+/// the output is the `VerbResult` anmat/report.h builds for the verb, so
+/// it is byte-identical by construction. A daemon-resident host serves
+/// requests against:
 ///
 ///  * a warm `anmat::Engine` — its shared `ThreadPool` and engine-wide
 ///    `AutomatonCache` live as long as the host, so each distinct pattern
 ///    is compiled and frozen once per daemon lifetime instead of once per
 ///    CLI run (`bench_a8_daemon` measures the amortization; the cache
 ///    stats are exposed through the daemon's `stats` verb);
-///  * the open `Project`, whose whole-project `flock` the host holds for
-///    its lifetime — cross-*process* exclusion. Within the daemon the
-///    host schedules finer than the flock: verbs that mutate project
-///    state (discover, rules confirm/reject/delete/annotate) funnel
-///    through a writer gate (`std::shared_mutex`, unique side) so their
-///    read-modify-write + `Save` cycles serialize FIFO and no edit is
-///    ever lost, while reporting verbs (detect, repair, profile, rules
-///    list, streams) take the shared side and proceed concurrently with
-///    each other;
+///  * the open `Project`. Verbs that mutate it (discover, rules
+///    confirm/reject/delete/annotate) funnel through a writer gate
+///    (`std::shared_mutex`, unique side) so their read-modify-write +
+///    `Save` cycles serialize FIFO and no edit is ever lost, while
+///    reporting verbs (detect, repair, profile, rules list, streams) take
+///    the shared side and proceed concurrently with each other;
 ///  * a registry of live `DetectionStream`s addressable by stream id from
 ///    any connection — a hot feed opens a stream once and appends batches
 ///    over the socket, getting cumulative violations (and, with
@@ -31,11 +33,7 @@
 ///    (`DetectionStream` is not reentrant); different streams proceed in
 ///    parallel.
 ///
-/// Every verb returns the same JSON the one-shot CLI prints under
-/// `--format json` (the renderers in anmat/report.h are reused verbatim)
-/// plus the human-readable text rendering — so routing a CLI command
-/// through the daemon is transparent, byte for byte. The daemon
-/// (daemon.h) routes requests here; the host knows nothing about sockets.
+/// The host knows nothing about sockets.
 
 #include <cstdint>
 #include <map>
@@ -44,6 +42,7 @@
 
 #include "anmat/engine.h"
 #include "anmat/project.h"
+#include "anmat/report.h"
 #include "detect/detection_stream.h"
 #include "util/json.h"
 #include "util/mutex.h"
@@ -52,33 +51,18 @@
 
 namespace anmat {
 
-/// \brief A warm project served by the daemon.
+/// \brief An open project and the verbs that run against it.
 class ProjectHost {
  public:
   struct Options {
     /// Engine thread count (ExecutionOptions semantics: 1 serial,
     /// 0 = hardware).
     size_t engine_threads = 1;
-    /// How long opening waits for the project flock (a CLI writer may
-    /// hold it briefly when the daemon starts).
-    int lock_wait_ms = 10000;
   };
 
-  /// What a verb produced: the CLI-identical JSON plus its text rendering.
-  struct VerbResult {
-    JsonValue result;
-    std::string text;
-  };
-
-  /// Opens the project at `dir` (writable: the host holds the flock until
-  /// it dies) and warms an engine for it.
-  static Result<std::unique_ptr<ProjectHost>> Open(const std::string& dir,
-                                                   const Options& options);
-
-  /// Initializes a fresh project at `dir` and hosts it.
-  static Result<std::unique_ptr<ProjectHost>> Init(const std::string& dir,
-                                                   std::string name,
-                                                   const Options& options);
+  /// Hosts `project`, already opened (and locked) by the caller, with a
+  /// fresh engine.
+  ProjectHost(Project project, const Options& options);
 
   ~ProjectHost() = default;
   ProjectHost(const ProjectHost&) = delete;
@@ -102,8 +86,6 @@ class ProjectHost {
   size_t num_streams();
 
  private:
-  ProjectHost(Project project, const Options& options);
-
   // Verb implementations. Writers take `gate_` uniquely, readers shared.
   Result<VerbResult> Info();
   Result<VerbResult> Fsck();
@@ -122,11 +104,14 @@ class ProjectHost {
   Result<VerbResult> StreamClose(const JsonValue& params);
 
   /// The relation a verb operates on (`data` = catalog name, or the path
-  /// spelling that attached it — same resolution as the CLI's --data).
-  /// Requires `gate_` held, either side (shared suffices: loading never
-  /// mutates catalog state).
+  /// that attached it; see `Project::FindDataset`). Requires `gate_` held,
+  /// either side (shared suffices: loading never mutates catalog state).
   Result<Relation> LoadData(const JsonValue& params)
       ANMAT_REQUIRES_SHARED(gate_);
+
+  /// The rules detect, repair and streams apply; an error when none is
+  /// confirmed. Requires `gate_` held, either side.
+  Result<std::vector<Pfd>> ConfirmedRules() ANMAT_REQUIRES_SHARED(gate_);
 
   /// One live stream. `mu` serializes appends (DetectionStream is not
   /// reentrant); the registry mutex is never held across an append.
@@ -141,6 +126,11 @@ class ProjectHost {
     /// tracks batch-by-batch; reported again in the close summary).
     size_t last_violations ANMAT_GUARDED_BY(mu) = 0;
   };
+
+  /// The stream named by the `stream` param; `remove` takes it out of the
+  /// registry (close).
+  Result<std::shared_ptr<StreamEntry>> FindStream(const JsonValue& params,
+                                                  bool remove);
 
   /// The writer gate: in-process scheduling finer than the project flock.
   /// Mutating verbs hold it uniquely around their read-modify-write +

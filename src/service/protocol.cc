@@ -22,6 +22,15 @@ StatusCode CodeFromName(const std::string& name) {
   return StatusCode::kInternal;
 }
 
+/// A message's "id": 0 when absent, non-numeric or negative (the
+/// protocol's "no id"); a fractional or out-of-range number is an error.
+Result<uint64_t> MessageId(const JsonValue& message) {
+  const JsonValue* id = message.Get("id");
+  if (id == nullptr || !id->is_number()) return 0;
+  ANMAT_ASSIGN_OR_RETURN(const int64_t value, JsonToInt(*id, "id"));
+  return value >= 0 ? static_cast<uint64_t>(value) : 0;
+}
+
 }  // namespace
 
 Result<ServiceRequest> ParseServiceRequest(std::string_view payload) {
@@ -34,10 +43,7 @@ Result<ServiceRequest> ParseServiceRequest(std::string_view payload) {
     return Status::ParseError("request must be a JSON object");
   }
   ServiceRequest request;
-  if (const JsonValue* id = parsed->Get("id");
-      id != nullptr && id->is_number() && id->as_int() >= 0) {
-    request.id = static_cast<uint64_t>(id->as_int());
-  }
+  ANMAT_ASSIGN_OR_RETURN(request.id, MessageId(*parsed));
   const JsonValue* verb = parsed->Get("verb");
   if (verb == nullptr || !verb->is_string() || verb->as_string().empty()) {
     return Status::ParseError("request missing string \"verb\"");
@@ -94,10 +100,7 @@ Result<ServiceResponse> ParseServiceResponse(std::string_view payload) {
     return Status::ParseError("response must be a JSON object");
   }
   ServiceResponse response;
-  if (const JsonValue* id = parsed->Get("id");
-      id != nullptr && id->is_number() && id->as_int() >= 0) {
-    response.id = static_cast<uint64_t>(id->as_int());
-  }
+  ANMAT_ASSIGN_OR_RETURN(response.id, MessageId(*parsed));
   ANMAT_ASSIGN_OR_RETURN(response.ok, parsed->GetBool("ok"));
   if (response.ok) {
     const JsonValue* result = parsed->Get("result");

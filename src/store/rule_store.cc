@@ -339,9 +339,9 @@ Result<RuleSet> ParseRuleSet(std::string_view text) {
     }
     rules.Restore(std::move(record));
   }
-  if (const JsonValue* next_id = root.Get("next_id");
-      next_id != nullptr && next_id->is_number() && next_id->as_int() > 0) {
-    rules.RaiseNextId(static_cast<uint64_t>(next_id->as_int()));
+  if (Result<int64_t> next_id = root.GetInt("next_id");
+      next_id.ok() && next_id.value() > 0) {
+    rules.RaiseNextId(static_cast<uint64_t>(next_id.value()));
   }
   return rules;
 }

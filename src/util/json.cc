@@ -43,7 +43,22 @@ Result<int64_t> JsonValue::GetInt(std::string_view key) const {
   if (!v->is_number()) {
     return Status::ParseError("JSON key is not a number: " + std::string(key));
   }
-  return v->as_int();
+  return JsonToInt(*v, key);
+}
+
+Result<int64_t> JsonToInt(const JsonValue& value, std::string_view key) {
+  // 2^63 is exact as a double; int64_t holds [-2^63, 2^63).
+  constexpr double kLimit = 9223372036854775808.0;
+  const double d = value.as_number();
+  if (!value.is_number() || d != std::trunc(d) || d < -kLimit ||
+      d >= kLimit) {
+    std::string message = "\"";
+    message.append(key);
+    message += "\" must be an integer in int64 range, got ";
+    message += value.Dump();
+    return Status::InvalidArgument(message);
+  }
+  return static_cast<int64_t>(d);
 }
 
 Result<double> JsonValue::GetDouble(std::string_view key) const {

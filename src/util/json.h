@@ -74,7 +74,6 @@ class JsonValue {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
   const std::string& as_string() const { return string_; }
 
   /// Array access.
@@ -111,6 +110,12 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/// \brief `value` as an exact int64_t: the one checked conversion from a
+/// JSON number. A bare cast would truncate 1.5 to 1 and is undefined for
+/// numbers at or beyond 2^63, so a non-number, a fractional number or one
+/// outside int64_t's range is InvalidArgument naming `key`.
+Result<int64_t> JsonToInt(const JsonValue& value, std::string_view key);
 
 /// \brief Parses a complete JSON document; trailing garbage is an error.
 Result<JsonValue> ParseJson(std::string_view text);

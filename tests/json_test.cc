@@ -20,7 +20,7 @@ TEST(JsonValueTest, ObjectSetGetAndOverwrite) {
   obj.Set("b", JsonValue::String("two"));
   obj.Set("a", JsonValue::Int(3));  // overwrite
   ASSERT_NE(obj.Get("a"), nullptr);
-  EXPECT_EQ(obj.Get("a")->as_int(), 3);
+  EXPECT_EQ(JsonToInt(*obj.Get("a"), "a").value(), 3);
   EXPECT_EQ(obj.Get("b")->as_string(), "two");
   EXPECT_EQ(obj.Get("missing"), nullptr);
   EXPECT_EQ(obj.members().size(), 2u);  // overwrite does not duplicate
@@ -38,6 +38,23 @@ TEST(JsonValueTest, TypedGetters) {
   EXPECT_TRUE(obj.GetBool("b").value());
   EXPECT_EQ(obj.GetString("i").status().code(), StatusCode::kParseError);
   EXPECT_EQ(obj.GetString("absent").status().code(), StatusCode::kNotFound);
+}
+
+TEST(JsonValueTest, IntConversionRejectsFractionsAndOverflow) {
+  EXPECT_EQ(JsonToInt(JsonValue::Int(-7), "k").value(), -7);
+  EXPECT_EQ(JsonToInt(ParseJson("-9223372036854775808").value(), "k").value(),
+            INT64_MIN);
+  // 1.5 must not truncate to 1; 2^63 and beyond do not fit int64_t.
+  for (const char* text : {"1.5", "-0.25", "9223372036854775808", "1e300",
+                           "\"3\"", "true"}) {
+    Result<int64_t> n = JsonToInt(ParseJson(text).value(), "ids");
+    ASSERT_FALSE(n.ok()) << text;
+    EXPECT_EQ(n.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(n.status().message().find("\"ids\""), std::string::npos);
+  }
+  JsonValue obj = JsonValue::Object();
+  obj.Set("id", JsonValue::Number(1.9));
+  EXPECT_EQ(obj.GetInt("id").status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(JsonDumpTest, Scalars) {
@@ -73,7 +90,7 @@ TEST(JsonParseTest, Scalars) {
   EXPECT_TRUE(ParseJson("null").value().is_null());
   EXPECT_TRUE(ParseJson("true").value().as_bool());
   EXPECT_FALSE(ParseJson("false").value().as_bool());
-  EXPECT_EQ(ParseJson("42").value().as_int(), 42);
+  EXPECT_EQ(JsonToInt(ParseJson("42").value(), "n").value(), 42);
   EXPECT_DOUBLE_EQ(ParseJson("-2.5e2").value().as_number(), -250.0);
   EXPECT_EQ(ParseJson("\"hi\"").value().as_string(), "hi");
 }

@@ -173,6 +173,14 @@ TEST(ProtocolTest, RequestDefaultsIdAndParams) {
   EXPECT_TRUE(request.params.is_object());
 }
 
+TEST(ProtocolTest, FractionalIdIsRejected) {
+  EXPECT_EQ(ParseServiceRequest("{\"id\":7,\"verb\":\"ping\"}")->id, 7u);
+  EXPECT_FALSE(ParseServiceRequest("{\"id\":1.5,\"verb\":\"ping\"}").ok());
+  EXPECT_FALSE(ParseServiceRequest("{\"id\":1e19,\"verb\":\"ping\"}").ok());
+  EXPECT_FALSE(
+      ParseServiceResponse("{\"id\":2.5,\"ok\":true,\"result\":{}}").ok());
+}
+
 TEST(ProtocolTest, RequestRejectsGarbage) {
   EXPECT_FALSE(ParseServiceRequest("not json").ok());
   EXPECT_FALSE(ParseServiceRequest("[1,2,3]").ok());
@@ -425,6 +433,49 @@ TEST(DaemonTest, AnnotatePersistsNoteThroughDaemon) {
   // The note survived the daemon: it was saved, not just cached.
   Project reopened = Project::Open(dir).value();
   EXPECT_EQ(reopened.rules().Find(1)->note, "zip drives city");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTest, FractionalRuleIdsAreRejected) {
+  const std::string socket_path = FreshSocket("fractional");
+  const std::string dir = FreshDir("fractional");
+  const std::string csv = WriteZipCsv("fractional");
+  SeedProject(dir, csv);
+  {
+    DaemonRunner runner(socket_path);
+    DaemonClient client = DaemonClient::Connect(socket_path).value();
+    // 1.5 names no rule; a truncating cast would confirm rule 1.
+    JsonValue confirm = JsonValue::Object();
+    confirm.Set("project", JsonValue::String(dir));
+    JsonValue ids = JsonValue::Array();
+    ids.push_back(JsonValue::Number(1.5));
+    confirm.Set("ids", std::move(ids));
+    ServiceResponse confirmed =
+        client.Call("rules.confirm", std::move(confirm)).value();
+    ASSERT_FALSE(confirmed.ok);
+    EXPECT_EQ(confirmed.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(confirmed.error.message().find("\"ids\""), std::string::npos);
+
+    JsonValue annotate = JsonValue::Object();
+    annotate.Set("project", JsonValue::String(dir));
+    annotate.Set("id", JsonValue::Number(1.9));
+    annotate.Set("note", JsonValue::String("x"));
+    ServiceResponse annotated =
+        client.Call("rules.annotate", std::move(annotate)).value();
+    ASSERT_FALSE(annotated.ok);
+    EXPECT_EQ(annotated.error.code(), StatusCode::kInvalidArgument);
+
+    // 2^63 does not fit int64_t: an error, not undefined behaviour.
+    JsonValue huge = JsonValue::Object();
+    huge.Set("project", JsonValue::String(dir));
+    huge.Set("max", JsonValue::Number(9223372036854775808.0));
+    ServiceResponse detected = client.Call("detect", std::move(huge)).value();
+    ASSERT_FALSE(detected.ok);
+    EXPECT_EQ(detected.error.code(), StatusCode::kInvalidArgument);
+  }
+  Project reopened = Project::Open(dir).value();
+  EXPECT_EQ(reopened.rules().Find(1)->status, RuleStatus::kDiscovered);
+  EXPECT_EQ(reopened.rules().Find(1)->note, "");
   std::filesystem::remove_all(dir);
 }
 

@@ -57,15 +57,18 @@
 //       Attach a free-text reviewer note to a rule (empty --note clears
 //       it); shown by rules list and persisted in the store.
 //
-// Daemon mode (src/service): `anmat serve` runs anmatd, a resident
-// service holding each project open with a warm engine; `--connect`
-// routes any project verb through it instead of opening the project
-// locally, with byte-identical output:
+// Every project verb runs in `ProjectHost` (src/service/project_host.h),
+// the single implementation of the verbs above. By default the CLI opens
+// the project itself — read-only for profile, rules list, detect, repair
+// and stream, so the lock is released once crash recovery ran; writable
+// for discover and the rules edits — and runs the host in-process. With
+// --connect the daemon's host for the project runs the same verb, so the
+// output is the same bytes either way:
 //
 //   anmat serve --socket <path> [--threads N] [--workers N]
 //               [--lock-wait-ms N]
-//       Serve projects over a unix socket until SIGINT/SIGTERM or the
-//       shutdown verb.
+//       Run anmatd, a resident service holding each project open with a
+//       warm engine, until SIGINT/SIGTERM or the shutdown verb.
 //
 //   anmat <verb> ... --connect <socket>
 //       Route a project verb (profile, discover, detect, repair, stream,
@@ -106,6 +109,8 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -119,6 +124,7 @@
 #include "repair/repair.h"
 #include "service/client.h"
 #include "service/daemon.h"
+#include "service/project_host.h"
 #include "store/project_journal.h"
 #include "store/rule_store.h"
 #include "util/fs.h"
@@ -277,41 +283,80 @@ int FlagLockWaitMs(const ParsedArgs& args) {
              : anmat::Project::OpenOptions().lock_wait_ms;
 }
 
-/// Open options for writer commands (discover, rules edits).
-anmat::Project::OpenOptions WriterOpenOptions(const ParsedArgs& args) {
-  anmat::Project::OpenOptions options;
-  options.lock_wait_ms = FlagLockWaitMs(args);
-  return options;
+/// Prints a verb's output: its JSON under --format json, its text
+/// otherwise.
+int Print(const anmat::VerbResult& report, bool json) {
+  if (json) {
+    std::cout << report.result.DumpPretty() << "\n";
+  } else {
+    std::cout << report.text;
+  }
+  return 0;
 }
 
-/// Report-style commands (profile, rules list, detect, repair, stream)
-/// read project state but never write it back: open read-only, so they
-/// hold the project lock only while crash recovery runs and never block
-/// a concurrent writer.
-anmat::Result<anmat::Project> OpenProjectReadOnly(const std::string& dir,
-                                                  const ParsedArgs& args) {
-  anmat::Project::OpenOptions options;
-  options.read_only = true;
-  options.lock_wait_ms = FlagLockWaitMs(args);
-  return anmat::Project::Open(dir, options);
+/// The largest integer a JSON number (an IEEE double) carries exactly.
+/// Rule ids and --max travel to the host as JSON numbers.
+constexpr uint64_t kMaxExactJsonInt = uint64_t{1} << 53;
+
+/// --max N, if given.
+std::optional<size_t> FlagMax(const ParsedArgs& args) {
+  if (!args.Has("max")) return std::nullopt;
+  return std::strtoul(args.Get("max").c_str(), nullptr, 10);
 }
 
 // ---------------------------------------------------------------------------
-// --connect: route the verb through a running daemon
+// Project verbs: one ProjectHost, in this process or in the daemon
 // ---------------------------------------------------------------------------
 
-/// One round-trip to the daemon named by --connect. A bad Result is a
-/// transport failure; a returned response may still carry ok:false.
-anmat::Result<anmat::ServiceResponse> DaemonCall(const ParsedArgs& args,
-                                                 const std::string& verb,
-                                                 anmat::JsonValue params) {
-  ANMAT_ASSIGN_OR_RETURN(anmat::DaemonClient client,
-                         anmat::DaemonClient::Connect(args.Get("connect")));
-  return client.Call(verb, std::move(params));
-}
+/// Where a project verb runs: a `ProjectHost` in this process over the
+/// project opened here, or, with --connect, the daemon's host for it.
+class ProjectChannel {
+ public:
+  /// Reporting verbs open the project read-only (the lock is held only
+  /// while crash recovery runs, so they never block a writer); `writer`
+  /// verbs hold it until the process exits.
+  static anmat::Result<ProjectChannel> Open(const ParsedArgs& args,
+                                            bool writer) {
+    ProjectChannel channel;
+    if (args.Has("connect")) {
+      ANMAT_ASSIGN_OR_RETURN(
+          anmat::DaemonClient client,
+          anmat::DaemonClient::Connect(args.Get("connect")));
+      channel.client_.emplace(std::move(client));
+      return channel;
+    }
+    anmat::Project::OpenOptions options;
+    options.read_only = !writer;
+    options.lock_wait_ms = FlagLockWaitMs(args);
+    ANMAT_ASSIGN_OR_RETURN(
+        anmat::Project project,
+        anmat::Project::Open(args.Get("project"), options));
+    channel.host_ = std::make_unique<anmat::ProjectHost>(
+        std::move(project), anmat::ProjectHost::Options{FlagThreads(args)});
+    return channel;
+  }
 
-/// Params every project verb shares in connect mode.
-anmat::JsonValue ConnectParams(const ParsedArgs& args) {
+  /// Runs one verb; a transport failure and a failing verb are both an
+  /// error Status.
+  anmat::Result<anmat::VerbResult> Run(const std::string& verb,
+                                       anmat::JsonValue params) {
+    if (host_ != nullptr) return host_->Dispatch(verb, params);
+    ANMAT_ASSIGN_OR_RETURN(anmat::ServiceResponse response,
+                           client_->Call(verb, std::move(params)));
+    if (!response.ok) return response.error;
+    return anmat::VerbResult{std::move(response.result),
+                             std::move(response.text)};
+  }
+
+ private:
+  ProjectChannel() = default;
+
+  std::unique_ptr<anmat::ProjectHost> host_;
+  std::optional<anmat::DaemonClient> client_;
+};
+
+/// Params every project verb shares.
+anmat::JsonValue ProjectParams(const ParsedArgs& args) {
   anmat::JsonValue params = anmat::JsonValue::Object();
   params.Set("project", anmat::JsonValue::String(args.Get("project")));
   if (args.Has("data")) {
@@ -320,24 +365,32 @@ anmat::JsonValue ConnectParams(const ParsedArgs& args) {
   return params;
 }
 
-/// Prints a successful response the way the direct command would have:
-/// the result JSON under --format json, the text rendering otherwise.
-int PrintResponse(const anmat::ServiceResponse& response, bool json) {
-  if (json) {
-    std::cout << response.result.DumpPretty() << "\n";
-  } else {
-    std::cout << response.text;
-  }
-  return 0;
+/// A file path for the host to read or write. The daemon resolves paths
+/// against its own cwd, so --connect sends an absolute one; in-process the
+/// path stays as typed (the output echoes it).
+anmat::JsonValue PathParam(const ParsedArgs& args, const std::string& key) {
+  return anmat::JsonValue::String(
+      args.Has("connect") ? std::filesystem::absolute(args.Get(key)).string()
+                          : args.Get(key));
 }
 
-/// The common connect-mode tail: transport failures and verb failures
-/// both exit 2 (like the direct command's Fail path); success prints.
-int FinishDaemonCall(const anmat::Result<anmat::ServiceResponse>& response,
-                     bool json) {
-  if (!response.ok()) return Fail(response.status());
-  if (!response->ok) return Fail(response->error);
-  return PrintResponse(response.value(), json);
+/// Runs one project verb and prints its output. Failures exit 2, except
+/// that `unknown_id_is_usage` makes an unknown rule id (NotFound) a usage
+/// error (exit 1) naming the id.
+int RunProjectVerb(const ParsedArgs& args, bool writer,
+                   const std::string& verb, anmat::JsonValue params,
+                   bool json, bool unknown_id_is_usage = false) {
+  auto channel = ProjectChannel::Open(args, writer);
+  if (!channel.ok()) return Fail(channel.status());
+  auto report = channel->Run(verb, std::move(params));
+  if (!report.ok()) {
+    if (unknown_id_is_usage &&
+        report.status().code() == anmat::StatusCode::kNotFound) {
+      return FlagError(report.status().message());
+    }
+    return Fail(report.status());
+  }
+  return Print(report.value(), json);
 }
 
 /// Confirmed rules from a standalone rule file (one-shot mode). v1 files
@@ -357,22 +410,43 @@ anmat::Result<std::vector<anmat::Pfd>> LoadConfirmedRules(
   return confirmed;
 }
 
-/// The relation a project command operates on: --data names a catalog
-/// entry; default is the last attached dataset. Because `discover
-/// --project --data` takes a CSV *path* (attached under its stem), the
-/// same path spelling is accepted here too — so the --data value that
-/// attached a dataset keeps working on detect/repair/profile.
-anmat::Result<anmat::Relation> LoadProjectData(const anmat::Project& project,
-                                               const ParsedArgs& args) {
-  if (!args.Has("data")) return project.LoadDataset("");
-  const std::string& value = args.Get("data");
-  auto entry = project.FindDataset(value);
-  if (entry.ok()) return project.LoadDataset(value);
-  const std::string stem = std::filesystem::path(value).stem().string();
-  if (!stem.empty() && stem != value && project.FindDataset(stem).ok()) {
-    return project.LoadDataset(stem);
+/// The checks every one-shot form makes before reading its CSV: --connect
+/// and --data need --project. Returns 0, else the exit code.
+int CheckOneShotForm(const ParsedArgs& args) {
+  if (args.Has("connect")) {
+    return FlagError("--connect requires --project <dir>");
   }
-  return entry.status();
+  if (const std::string e =
+          RejectFlags(args, {"data"}, "requires --project mode");
+      !e.empty()) {
+    return FlagError(e);
+  }
+  return 0;
+}
+
+/// The checks every --project form makes: no CSV positional, and none of
+/// the one-shot form's rule-file flags. Returns 0, else the exit code.
+int CheckProjectForm(const ParsedArgs& args) {
+  if (!args.positional.empty()) return Usage();
+  if (const std::string e = RejectFlags(
+          args, {"rules", "table", "minimize"},
+          "applies to the one-shot form, not --project mode (the project "
+          "directory is the rule store)");
+      !e.empty()) {
+    return FlagError(e);
+  }
+  return 0;
+}
+
+/// One round-trip to the daemon named by --connect (init and the
+/// daemon-scope verbs, which run no project host). A bad Result is a
+/// transport failure; a returned response may still carry ok:false.
+anmat::Result<anmat::ServiceResponse> DaemonCall(const ParsedArgs& args,
+                                                 const std::string& verb,
+                                                 anmat::JsonValue params) {
+  ANMAT_ASSIGN_OR_RETURN(anmat::DaemonClient client,
+                         anmat::DaemonClient::Connect(args.Get("connect")));
+  return client.Call(verb, std::move(params));
 }
 
 // ---------------------------------------------------------------------------
@@ -426,46 +500,20 @@ int CmdInit(const ParsedArgs& args) {
 // profile
 // ---------------------------------------------------------------------------
 
-int RenderProfiles(const std::vector<anmat::ColumnProfile>& profiles,
-                   bool json) {
-  if (json) {
-    std::cout << anmat::ProfilesToJson(profiles).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderProfilingView(profiles);
-  }
-  return 0;
-}
-
 int CmdProfile(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    return FinishDaemonCall(
-        DaemonCall(args, "profile", ConnectParams(args)), FlagJson(args));
+  if (args.Has("project")) {
+    if (int code = CheckProjectForm(args); code != 0) return code;
+    return RunProjectVerb(args, /*writer=*/false, "profile",
+                          ProjectParams(args), FlagJson(args));
   }
+  if (int code = CheckOneShotForm(args); code != 0) return code;
+  if (args.positional.size() != 1) return Usage();
+  auto relation = anmat::ReadCsvFile(args.positional[0]);
+  if (!relation.ok()) return Fail(relation.status());
   anmat::Engine engine(
       anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  anmat::Relation relation;
-  if (args.Has("project")) {
-    if (!args.positional.empty()) return Usage();
-    auto project = OpenProjectReadOnly(args.Get("project"), args);
-    if (!project.ok()) return Fail(project.status());
-    auto data = LoadProjectData(project.value(), args);
-    if (!data.ok()) return Fail(data.status());
-    relation = std::move(data).value();
-  } else {
-    if (const std::string e =
-            RejectFlags(args, {"data"}, "requires --project mode");
-        !e.empty()) {
-      return FlagError(e);
-    }
-    if (args.positional.size() != 1) return Usage();
-    auto data = anmat::ReadCsvFile(args.positional[0]);
-    if (!data.ok()) return Fail(data.status());
-    relation = std::move(data).value();
-  }
-  return RenderProfiles(engine.Profile(relation), FlagJson(args));
+  return Print(anmat::ProfileReport(engine.Profile(relation.value())),
+               FlagJson(args));
 }
 
 // ---------------------------------------------------------------------------
@@ -481,13 +529,9 @@ int CmdDiscoverOneShot(const ParsedArgs& args) {
   session.SetMinCoverage(FlagDouble(args, "coverage", 0.4));
   session.SetAllowedViolationRatio(FlagDouble(args, "violations", 0.1));
   if (anmat::Status s = session.Discover(); !s.ok()) return Fail(s);
-  if (FlagJson(args)) {
-    std::cout << anmat::DiscoveredPfdsToJson(session.discovered())
-                     .DumpPretty()
-              << "\n";
-  } else {
-    std::cout << anmat::RenderDiscoveredPfdsView(session.discovered());
-  }
+  Print({anmat::DiscoveredPfdsToJson(session.discovered()),
+         anmat::RenderDiscoveredPfdsView(session.discovered())},
+        FlagJson(args));
   if (args.Has("rules")) {
     std::vector<anmat::Pfd> rules;
     for (const anmat::DiscoveredPfd& d : session.discovered()) {
@@ -518,98 +562,27 @@ int CmdDiscoverOneShot(const ParsedArgs& args) {
 }
 
 int CmdDiscoverProject(const ParsedArgs& args) {
-  if (const std::string e = RejectFlags(
-          args, {"rules", "table", "minimize"},
-          "applies to the one-shot form, not --project mode (the project "
-          "directory is the rule store)");
-      !e.empty()) {
-    return FlagError(e);
-  }
+  if (int code = CheckProjectForm(args); code != 0) return code;
   if (args.Has("name") && !args.Has("data")) {
     return FlagError("--name requires --data (it names the attached CSV)");
   }
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("data")) {
-      // discover's --data is a CSV *path* to attach; resolve it against
-      // this process's cwd, not the daemon's.
-      params.Set("data",
-                 anmat::JsonValue::String(
-                     std::filesystem::absolute(args.Get("data")).string()));
-    }
-    if (args.Has("name")) {
-      params.Set("name", anmat::JsonValue::String(args.Get("name")));
-    }
-    if (args.Has("coverage")) {
-      params.Set("coverage", anmat::JsonValue::Number(
-                                 FlagDouble(args, "coverage", 0)));
-    }
-    if (args.Has("violations")) {
-      params.Set("violations", anmat::JsonValue::Number(
-                                   FlagDouble(args, "violations", 0)));
-    }
-    return FinishDaemonCall(DaemonCall(args, "discover", std::move(params)),
-                            FlagJson(args));
+  anmat::JsonValue params = ProjectParams(args);
+  // discover's --data is a CSV path to attach (under its stem, or --name).
+  if (args.Has("data")) params.Set("data", PathParam(args, "data"));
+  if (args.Has("name")) {
+    params.Set("name", anmat::JsonValue::String(args.Get("name")));
   }
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  anmat::Project::Parameters parameters = project->parameters();
-  parameters.min_coverage = FlagDouble(args, "coverage",
-                                       parameters.min_coverage);
-  parameters.allowed_violation_ratio =
-      FlagDouble(args, "violations", parameters.allowed_violation_ratio);
-  project->set_parameters(parameters);
-
-  std::string dataset_name;
-  if (args.Has("data")) {
-    dataset_name = args.Has("name")
-                       ? args.Get("name")
-                       : std::filesystem::path(args.Get("data"))
-                             .stem()
-                             .string();
-    if (anmat::Status s =
-            project->AttachDataset(dataset_name, args.Get("data"));
-        !s.ok()) {
-      return Fail(s);
+  for (const char* key : {"coverage", "violations"}) {
+    if (args.Has(key)) {
+      params.Set(key, anmat::JsonValue::Number(FlagDouble(args, key, 0)));
     }
-  } else {
-    auto entry = project->FindDataset();
-    if (!entry.ok()) return Fail(entry.status());
-    dataset_name = entry->name;
   }
-  auto relation = project->LoadDataset(dataset_name);
-  if (!relation.ok()) return Fail(relation.status());
-
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto discovery =
-      engine.Discover(relation.value(), project->discovery_options());
-  if (!discovery.ok()) return Fail(discovery.status());
-
-  for (const anmat::DiscoveredPfd& d : discovery->pfds) {
-    project->AddDiscoveredRule(d, dataset_name);
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-
-  if (FlagJson(args)) {
-    std::cout << anmat::RuleSetToJson(project->rules()).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderDiscoveredPfdsView(discovery->pfds);
-    std::cout << "\nrecorded " << discovery->pfds.size()
-              << " rule(s) as discovered in " << project->rules_path()
-              << " (review with 'anmat rules list', apply with 'anmat rules "
-              << "confirm')\n";
-  }
-  return 0;
+  return RunProjectVerb(args, /*writer=*/true, "discover", std::move(params),
+                        FlagJson(args));
 }
 
 int CmdDiscover(const ParsedArgs& args) {
-  if (args.Has("project")) {
-    if (!args.positional.empty()) return Usage();
-    return CmdDiscoverProject(args);
-  }
+  if (args.Has("project")) return CmdDiscoverProject(args);
   if (const std::string e =
           RejectFlags(args, {"data", "name"}, "requires --project mode");
       !e.empty()) {
@@ -623,173 +596,77 @@ int CmdDiscover(const ParsedArgs& args) {
 // rules
 // ---------------------------------------------------------------------------
 
-int CmdRulesList(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    return FinishDaemonCall(
-        DaemonCall(args, "rules.list", ConnectParams(args)), FlagJson(args));
-  }
-  auto project = OpenProjectReadOnly(args.Get("project"), args);
-  if (!project.ok()) return Fail(project.status());
-  if (FlagJson(args)) {
-    std::cout << anmat::RuleSetToJson(project->rules()).DumpPretty() << "\n";
-  } else {
-    std::cout << anmat::RenderRuleSetView(project->rules());
-  }
-  return 0;
-}
-
 /// Parses explicit rule-id positionals ("all" is handled by the caller).
-/// Digits only: strtoull would wrap "-1" to 2^64-1 instead of failing.
-anmat::Result<std::vector<uint64_t>> ParseRuleIds(
+/// Digits only: strtoull would wrap "-1" to 2^64-1 instead of failing. An
+/// id past what a JSON number carries exactly (which covers every id that
+/// overflows 64 bits) names no rule: the rule store keeps ids as JSON
+/// numbers too.
+anmat::Result<anmat::JsonValue> ParseRuleIds(
     const std::vector<std::string>& positional) {
-  std::vector<uint64_t> ids;
+  anmat::JsonValue ids = anmat::JsonValue::Array();
   for (const std::string& arg : positional) {
-    if (arg.empty() ||
-        arg.find_first_not_of("0123456789") != std::string::npos) {
+    errno = 0;
+    const unsigned long long id =
+        arg.find_first_not_of("0123456789") == std::string::npos
+            ? std::strtoull(arg.c_str(), nullptr, 10)
+            : 0;
+    if (arg.empty() || errno == ERANGE || id == 0 || id > kMaxExactJsonInt) {
       return anmat::Status::InvalidArgument("not a rule id: " + arg);
     }
-    const unsigned long long id = std::strtoull(arg.c_str(), nullptr, 10);
-    if (id == 0) {
-      return anmat::Status::InvalidArgument("not a rule id: " + arg);
-    }
-    ids.push_back(static_cast<uint64_t>(id));
+    ids.push_back(anmat::JsonValue::Int(static_cast<int64_t>(id)));
   }
   return ids;
 }
 
-anmat::JsonValue IdsToJson(const std::vector<uint64_t>& ids) {
-  anmat::JsonValue arr = anmat::JsonValue::Array();
-  for (uint64_t id : ids) {
-    arr.push_back(anmat::JsonValue::Int(static_cast<int64_t>(id)));
-  }
-  return arr;
-}
-
 int CmdRulesSetStatus(const ParsedArgs& args, anmat::RuleStatus status) {
+  const bool confirm = status == anmat::RuleStatus::kConfirmed;
   if (args.positional.empty()) {
-    return FlagError(std::string("'anmat rules ") + (
-        status == anmat::RuleStatus::kConfirmed ? "confirm" : "reject") +
-        "' needs rule id(s) or 'all'");
+    return FlagError(std::string("'anmat rules ") +
+                     (confirm ? "confirm" : "reject") +
+                     "' needs rule id(s) or 'all'");
   }
-  const bool all =
-      args.positional.size() == 1 && args.positional[0] == "all";
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    if (all) {
-      params.Set("all", anmat::JsonValue::Bool(true));
-    } else {
-      auto ids = ParseRuleIds(args.positional);
-      if (!ids.ok()) return FlagError(ids.status().message());
-      params.Set("ids", IdsToJson(ids.value()));
-    }
-    const char* verb = status == anmat::RuleStatus::kConfirmed
-                           ? "rules.confirm"
-                           : "rules.reject";
-    return FinishDaemonCall(DaemonCall(args, verb, std::move(params)),
-                            /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  std::vector<uint64_t> ids;
-  if (all) {
-    for (const anmat::RuleRecord& r : project->rules().records()) {
-      // `confirm all` leaves rejected rules rejected (same semantics as
-      // Session::ConfirmAll); only an explicit id overrides a rejection.
-      if (status == anmat::RuleStatus::kConfirmed &&
-          r.status == anmat::RuleStatus::kRejected) {
-        continue;
-      }
-      ids.push_back(r.id);
-    }
+  anmat::JsonValue params = ProjectParams(args);
+  if (args.positional.size() == 1 && args.positional[0] == "all") {
+    params.Set("all", anmat::JsonValue::Bool(true));
   } else {
-    auto parsed = ParseRuleIds(args.positional);
-    if (!parsed.ok()) return FlagError(parsed.status().message());
-    ids = std::move(parsed).value();
+    auto ids = ParseRuleIds(args.positional);
+    if (!ids.ok()) return FlagError(ids.status().message());
+    params.Set("ids", std::move(ids).value());
   }
-  for (uint64_t id : ids) {
-    if (anmat::Status s = project->SetRuleStatus(id, status); !s.ok()) {
-      return Fail(s);
-    }
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "marked " << ids.size() << " rule(s) "
-            << anmat::RuleStatusName(status) << "; "
-            << project->ConfirmedPfds().size()
-            << " rule(s) now confirmed\n";
-  return 0;
+  return RunProjectVerb(args, /*writer=*/true,
+                        confirm ? "rules.confirm" : "rules.reject",
+                        std::move(params), /*json=*/false);
 }
 
 int CmdRulesDelete(const ParsedArgs& args) {
   if (args.positional.empty()) {
     return FlagError("'anmat rules delete' needs rule id(s)");
   }
-  auto parsed = ParseRuleIds(args.positional);
-  if (!parsed.ok()) return FlagError(parsed.status().message());
-  std::vector<uint64_t> ids = std::move(parsed).value();
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    params.Set("ids", IdsToJson(ids));
-    auto response = DaemonCall(args, "rules.delete", std::move(params));
-    if (!response.ok()) return Fail(response.status());
-    // An unknown id is a usage error (exit 1) naming it, like direct mode.
-    if (!response->ok) return FlagError(response->error.message());
-    return PrintResponse(response.value(), /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-
-  for (uint64_t id : ids) {
-    // Deleting an unknown id is a usage error (exit 1) naming the id, and
-    // nothing is persisted — the whole command is rejected.
-    if (anmat::Status s = project->DeleteRule(id); !s.ok()) {
-      return FlagError(s.message());
-    }
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "deleted " << ids.size() << " rule(s); "
-            << project->rules().size() << " rule(s) remain (ids are never "
-            << "reused)\n";
-  return 0;
+  auto ids = ParseRuleIds(args.positional);
+  if (!ids.ok()) return FlagError(ids.status().message());
+  anmat::JsonValue params = ProjectParams(args);
+  params.Set("ids", std::move(ids).value());
+  // Deleting an unknown id is a usage error naming it, and nothing is
+  // persisted: the whole command is rejected.
+  return RunProjectVerb(args, /*writer=*/true, "rules.delete",
+                        std::move(params), /*json=*/false,
+                        /*unknown_id_is_usage=*/true);
 }
 
 int CmdRulesAnnotate(const ParsedArgs& args) {
   if (args.positional.size() != 1) {
     return FlagError("'anmat rules annotate' needs exactly one rule id");
   }
-  auto parsed = ParseRuleIds(args.positional);
-  if (!parsed.ok()) return FlagError(parsed.status().message());
-  const uint64_t id = parsed->front();
+  auto ids = ParseRuleIds(args.positional);
+  if (!ids.ok()) return FlagError(ids.status().message());
+  anmat::JsonValue params = ProjectParams(args);
+  params.Set("id", ids->at(0));
   // An absent --note clears the annotation (same as --note "").
-  const std::string note = args.Has("note") ? args.Get("note") : "";
-
-  if (args.Has("connect")) {
-    anmat::JsonValue params = ConnectParams(args);
-    params.Set("id", anmat::JsonValue::Int(static_cast<int64_t>(id)));
-    params.Set("note", anmat::JsonValue::String(note));
-    auto response = DaemonCall(args, "rules.annotate", std::move(params));
-    if (!response.ok()) return Fail(response.status());
-    // An unknown id is a usage error (exit 1) naming it, like direct mode.
-    if (!response->ok) return FlagError(response->error.message());
-    return PrintResponse(response.value(), /*json=*/false);
-  }
-
-  auto project =
-      anmat::Project::Open(args.Get("project"), WriterOpenOptions(args));
-  if (!project.ok()) return Fail(project.status());
-  // An unknown id is a usage error (exit 1) naming it; nothing persists.
-  if (anmat::Status s = project->AnnotateRule(id, note); !s.ok()) {
-    return FlagError(s.message());
-  }
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
-  std::cout << "annotated rule " << id << "\n";
-  return 0;
+  params.Set("note", anmat::JsonValue::String(
+                         args.Has("note") ? args.Get("note") : ""));
+  return RunProjectVerb(args, /*writer=*/true, "rules.annotate",
+                        std::move(params), /*json=*/false,
+                        /*unknown_id_is_usage=*/true);
 }
 
 int CmdRules(int argc, char** argv) {
@@ -809,7 +686,10 @@ int CmdRules(int argc, char** argv) {
   if (!args.Has("project")) {
     return FlagError("'anmat rules " + sub + "' requires --project <dir>");
   }
-  if (sub == "list") return CmdRulesList(args);
+  if (sub == "list") {
+    return RunProjectVerb(args, /*writer=*/false, "rules.list",
+                          ProjectParams(args), FlagJson(args));
+  }
   if (sub == "confirm") {
     return CmdRulesSetStatus(args, anmat::RuleStatus::kConfirmed);
   }
@@ -825,29 +705,14 @@ int CmdRules(int argc, char** argv) {
 // project (maintenance verbs)
 // ---------------------------------------------------------------------------
 
-const char* RecoveryActionName(anmat::JournalRecoveryReport::Action action) {
-  switch (action) {
-    case anmat::JournalRecoveryReport::Action::kClean:
-      return "clean";
-    case anmat::JournalRecoveryReport::Action::kReplayed:
-      return "replayed";
-    case anmat::JournalRecoveryReport::Action::kDiscarded:
-      return "discarded";
-  }
-  return "unknown";
-}
-
 int CmdProjectFsck(const ParsedArgs& args) {
+  // A daemon-hosted project opened, so it is healthy (or the verb fails).
   if (args.Has("connect")) {
-    auto response = DaemonCall(args, "fsck", ConnectParams(args));
-    if (!response.ok()) return Fail(response.status());
-    if (!response->ok) return Fail(response->error);
-    PrintResponse(response.value(), FlagJson(args));
-    const anmat::JsonValue* healthy = response->result.Get("healthy");
-    return (healthy != nullptr && healthy->is_bool() && healthy->as_bool())
-               ? 0
-               : 2;
+    return RunProjectVerb(args, /*writer=*/false, "fsck", ProjectParams(args),
+                          FlagJson(args));
   }
+  // Locally fsck cannot go through a host: it must report on a project
+  // that fails to open. It prints the same report as the host's fsck.
   const std::string dir = args.Get("project");
   if (!std::filesystem::exists(dir + "/project.json") &&
       !std::filesystem::exists(dir + "/journal.wal")) {
@@ -861,40 +726,20 @@ int CmdProjectFsck(const ParsedArgs& args) {
   auto lock = anmat::FileLock::Acquire(dir + "/.anmat.lock", lock_options);
   if (!lock.ok()) return Fail(lock.status());
   anmat::ProjectJournal journal(dir);
-  auto report = journal.Recover();
-  if (!report.ok()) return Fail(report.status());
+  auto recovery = journal.Recover();
+  if (!recovery.ok()) return Fail(recovery.status());
 
   // Recovery done; now verify the project actually loads. Our lock is
   // shared with Open's same-process acquire, so this does not deadlock.
-  auto project = OpenProjectReadOnly(dir, args);
-  const bool healthy = project.ok();
-
-  if (FlagJson(args)) {
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("action",
-             anmat::JsonValue::String(RecoveryActionName(report->action)));
-    root.Set("detail", anmat::JsonValue::String(report->detail));
-    root.Set("files_applied", anmat::JsonValue::Int(static_cast<int64_t>(
-                                  report->files_applied)));
-    root.Set("truncated_tail", anmat::JsonValue::Bool(report->truncated_tail));
-    root.Set("healthy", anmat::JsonValue::Bool(healthy));
-    if (!healthy) {
-      root.Set("error",
-               anmat::JsonValue::String(project.status().ToString()));
-    }
-    std::cout << root.DumpPretty() << "\n";
-  } else {
-    std::cout << "journal: " << report->detail << "\n";
-    if (healthy) {
-      std::cout << "project: healthy (\"" << project->name() << "\", "
-                << project->datasets().size() << " dataset(s), "
-                << project->rules().size() << " rule(s))\n";
-    } else {
-      std::cout << "project: CORRUPT — " << project.status().ToString()
-                << "\n";
-    }
-  }
-  return healthy ? 0 : 2;
+  anmat::Project::OpenOptions options;
+  options.read_only = true;
+  options.lock_wait_ms = FlagLockWaitMs(args);
+  auto project = anmat::Project::Open(dir, options);
+  Print(anmat::FsckReport(recovery.value(),
+                          project.ok() ? &project.value() : nullptr,
+                          project.status()),
+        FlagJson(args));
+  return project.ok() ? 0 : 2;
 }
 
 int CmdProject(int argc, char** argv) {
@@ -917,293 +762,188 @@ int CmdProject(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// detect / repair (shared project-mode preamble)
+// detect / repair
 // ---------------------------------------------------------------------------
 
-/// Loads the dataset and confirmed rules a project-mode detect/repair
-/// operates on. Returns 0 on success, else the exit code to return.
-int LoadProjectInputs(const ParsedArgs& args, anmat::Relation* relation,
-                      std::vector<anmat::Pfd>* rules) {
-  if (!args.positional.empty()) return Usage();
-  if (const std::string e = RejectFlags(
-          args, {"rules"},
-          "applies to the one-shot form, not --project mode (the project "
-          "directory is the rule store)");
-      !e.empty()) {
-    return FlagError(e);
-  }
-  auto project = OpenProjectReadOnly(args.Get("project"), args);
-  if (!project.ok()) return Fail(project.status());
-  auto data = LoadProjectData(project.value(), args);
-  if (!data.ok()) return Fail(data.status());
-  *relation = std::move(data).value();
-  *rules = project->ConfirmedPfds();
-  if (rules->empty()) {
-    return Fail(anmat::Status::InvalidArgument(
-        "project has no confirmed rules; run 'anmat rules confirm'"));
-  }
-  return 0;
-}
-
-int RunDetect(const anmat::Relation& relation,
-              const std::vector<anmat::Pfd>& rules, const ParsedArgs& args) {
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto detection = engine.Detect(relation, rules);
-  if (!detection.ok()) return Fail(detection.status());
-  if (FlagJson(args)) {
-    anmat::DetectionResult limited = std::move(detection).value();
-    if (args.Has("max")) {
-      // Honor --max in JSON too: cap the violations array. The stats block
-      // still reports the full counts, so the truncation is visible.
-      const size_t max_rows =
-          std::strtoul(args.Get("max").c_str(), nullptr, 10);
-      if (limited.violations.size() > max_rows) {
-        limited.violations.resize(max_rows);
-      }
-    }
-    std::cout << anmat::DetectionToJson(relation, rules, limited).DumpPretty()
-              << "\n";
-    return 0;
-  }
-  size_t max_rows = 50;
-  if (args.Has("max")) {
-    max_rows = std::strtoul(args.Get("max").c_str(), nullptr, 10);
-  }
-  std::cout << anmat::RenderViolationsView(relation, rules,
-                                           detection.value(), max_rows);
-  return 0;
-}
-
 int CmdDetect(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("max")) {
-      params.Set("max", anmat::JsonValue::Int(static_cast<int64_t>(
-                            std::strtoul(args.Get("max").c_str(), nullptr,
-                                         10))));
-    }
-    return FinishDaemonCall(DaemonCall(args, "detect", std::move(params)),
-                            FlagJson(args));
-  }
+  const std::optional<size_t> max = FlagMax(args);
   if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
+    if (int code = CheckProjectForm(args); code != 0) return code;
+    anmat::JsonValue params = ProjectParams(args);
+    if (max.has_value()) {
+      // Past 2^53 every cap means "all of them".
+      params.Set("max", anmat::JsonValue::Int(static_cast<int64_t>(
+                            std::min<uint64_t>(*max, kMaxExactJsonInt))));
     }
-    return RunDetect(relation, rules, args);
+    return RunProjectVerb(args, /*writer=*/false, "detect", std::move(params),
+                          FlagJson(args));
   }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
-  }
+  if (int code = CheckOneShotForm(args); code != 0) return code;
   if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
   auto relation = anmat::ReadCsvFile(args.positional[0]);
   if (!relation.ok()) return Fail(relation.status());
   auto rules = LoadConfirmedRules(args.Get("rules"));
   if (!rules.ok()) return Fail(rules.status());
-  return RunDetect(relation.value(), rules.value(), args);
-}
-
-// ---------------------------------------------------------------------------
-// repair
-// ---------------------------------------------------------------------------
-
-int RunRepair(anmat::Relation relation, const std::vector<anmat::Pfd>& rules,
-              const ParsedArgs& args) {
   anmat::Engine engine(
       anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto result = engine.Repair(&relation, rules);
-  if (!result.ok()) return Fail(result.status());
-  if (FlagJson(args)) {
-    std::cout << anmat::RepairToJson(result.value(), rules).DumpPretty()
-              << "\n";
-  } else {
-    std::cout << anmat::RenderRepairView(result.value());
+  auto detection = engine.Detect(relation.value(), rules.value());
+  if (!detection.ok()) return Fail(detection.status());
+  return Print(anmat::DetectReport(relation.value(), rules.value(),
+                                   std::move(detection).value(), max),
+               FlagJson(args));
+}
+
+int CmdRepair(const ParsedArgs& args) {
+  if (args.Has("project")) {
+    if (int code = CheckProjectForm(args); code != 0) return code;
+    anmat::JsonValue params = ProjectParams(args);
+    if (args.Has("out")) params.Set("out", PathParam(args, "out"));
+    return RunProjectVerb(args, /*writer=*/false, "repair", std::move(params),
+                          FlagJson(args));
   }
-  if (args.Has("out")) {
-    if (anmat::Status s = anmat::WriteCsvFile(relation, args.Get("out"));
+  if (int code = CheckOneShotForm(args); code != 0) return code;
+  if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
+  auto relation = anmat::ReadCsvFile(args.positional[0]);
+  if (!relation.ok()) return Fail(relation.status());
+  auto rules = LoadConfirmedRules(args.Get("rules"));
+  if (!rules.ok()) return Fail(rules.status());
+  anmat::Engine engine(
+      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
+  auto result = engine.Repair(&relation.value(), rules.value());
+  if (!result.ok()) return Fail(result.status());
+  const std::string out = args.Has("out") ? args.Get("out") : "";
+  if (!out.empty()) {
+    if (anmat::Status s = anmat::WriteCsvFile(relation.value(), out);
         !s.ok()) {
       return Fail(s);
     }
-    if (!FlagJson(args)) {
-      std::cout << "wrote cleaned table to " << args.Get("out") << "\n";
-    }
   }
-  return 0;
+  return Print(anmat::RepairReport(result.value(), rules.value(), out),
+               FlagJson(args));
 }
 
 // ---------------------------------------------------------------------------
 // stream (streaming detection demo, optionally cleaning on ingest)
 // ---------------------------------------------------------------------------
 
-int RunStream(const anmat::Relation& relation,
-              const std::vector<anmat::Pfd>& rules, const ParsedArgs& args) {
+/// Rows per batch (--batch) and the clean-on-ingest mode (--clean).
+struct StreamFlags {
   size_t batch_rows = 256;
+  std::string clean = "off";
+};
+
+/// Validates --batch and --clean; returns the flag error, "" when valid.
+std::string ParseStreamFlags(const ParsedArgs& args, StreamFlags* flags) {
   if (args.Has("batch")) {
-    batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
-    if (batch_rows == 0) {
-      return FlagError("invalid value for flag: --batch: must be >= 1");
+    flags->batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
+    if (flags->batch_rows == 0) {
+      return "invalid value for flag: --batch: must be >= 1";
     }
   }
-  const std::string clean = args.Has("clean") ? args.Get("clean") : "off";
-  if (clean != "off" && clean != "constant" && clean != "all") {
-    return FlagError("invalid value for flag: --clean: \"" + clean +
-                     "\" (expected off, constant, or all)");
+  if (args.Has("clean")) flags->clean = args.Get("clean");
+  if (flags->clean != "off" && flags->clean != "constant" &&
+      flags->clean != "all") {
+    return "invalid value for flag: --clean: \"" + flags->clean +
+           "\" (expected off, constant, or all)";
   }
+  return "";
+}
 
+/// Prints one batch report: its line as text, or (under --format json)
+/// keeps its JSON for the summary's "batches" array.
+void PrintBatch(anmat::VerbResult batch, bool json,
+                anmat::JsonValue* batches) {
+  if (json) {
+    batches->push_back(std::move(batch.result));
+  } else {
+    std::cout << batch.text;
+  }
+}
+
+/// Prints a stream run's summary, its "batches" count replaced by the
+/// batch reports collected append by append.
+int PrintStreamSummary(anmat::VerbResult summary, anmat::JsonValue batches,
+                       bool json) {
+  summary.result.Set("batches", std::move(batches));
+  return Print(summary, json);
+}
+
+/// One-shot stream: feeds the CSV through a DetectionStream of this
+/// process's engine in batches.
+int RunStreamOneShot(const anmat::Relation& relation,
+                     const std::vector<anmat::Pfd>& rules,
+                     const ParsedArgs& args, const StreamFlags& flags) {
   anmat::Engine engine(
       anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
   auto stream = engine.OpenStream(relation.schema(), rules);
   if (!stream.ok()) return Fail(stream.status());
-  if (clean != "off") {
+  if (flags.clean != "off") {
     (*stream)->set_clean_on_ingest(true);
-    (*stream)->set_clean_variable_rules(clean == "all");
+    (*stream)->set_clean_variable_rules(flags.clean == "all");
   }
 
   const bool json = FlagJson(args);
   anmat::JsonValue batches = anmat::JsonValue::Array();
   size_t violations = 0;
   for (anmat::RowId begin = 0; begin < relation.num_rows();
-       begin += static_cast<anmat::RowId>(batch_rows)) {
+       begin += static_cast<anmat::RowId>(flags.batch_rows)) {
     const anmat::RowId end = std::min<anmat::RowId>(
-        begin + static_cast<anmat::RowId>(batch_rows),
+        begin + static_cast<anmat::RowId>(flags.batch_rows),
         static_cast<anmat::RowId>(relation.num_rows()));
     auto batch = relation.Slice(begin, end);
     if (!batch.ok()) return Fail(batch.status());
     auto result = (*stream)->AppendBatch(batch.value());
     if (!result.ok()) return Fail(result.status());
     violations = result->violations.size();
-    if (json) {
-      anmat::JsonValue entry = anmat::JsonValue::Object();
-      entry.Set("rows", anmat::JsonValue::Int(
-                            static_cast<int64_t>(end - begin)));
-      entry.Set("cumulative_violations",
-                anmat::JsonValue::Int(static_cast<int64_t>(violations)));
-      entry.Set("repairs", anmat::JsonValue::Int(static_cast<int64_t>(
-                               (*stream)->batch_repairs().size())));
-      entry.Set("conflicts", anmat::JsonValue::Int(static_cast<int64_t>(
-                                 (*stream)->batch_conflicts().size())));
-      batches.push_back(std::move(entry));
-    } else {
-      std::cout << "batch " << (*stream)->num_batches() << ": +"
-                << (end - begin) << " row(s), cumulative violations "
-                << violations << ", repairs "
-                << (*stream)->batch_repairs().size() << ", conflicts "
-                << (*stream)->batch_conflicts().size() << "\n";
-    }
+    PrintBatch(anmat::StreamBatchReport(**stream, end - begin, violations),
+               json, &batches);
   }
 
-  if (json) {
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("rows", anmat::JsonValue::Int(
-                         static_cast<int64_t>(relation.num_rows())));
-    root.Set("batches", std::move(batches));
-    root.Set("clean", anmat::JsonValue::String(clean));
-    root.Set("distinct_values", anmat::JsonValue::Int(static_cast<int64_t>(
-                                    (*stream)->distinct_values())));
-    root.Set("violations",
-             anmat::JsonValue::Int(static_cast<int64_t>(violations)));
-    anmat::JsonValue repairs = anmat::JsonValue::Array();
-    for (const anmat::AppliedRepair& r : (*stream)->repairs()) {
-      repairs.push_back(anmat::AppliedRepairToJson(r, rules));
-    }
-    root.Set("repairs", std::move(repairs));
-    anmat::JsonValue conflicts = anmat::JsonValue::Array();
-    for (const anmat::StreamConflict& c : (*stream)->conflicts()) {
-      conflicts.push_back(anmat::StreamConflictToJson(c));
-    }
-    root.Set("conflicts", std::move(conflicts));
-    std::cout << root.DumpPretty() << "\n";
-  } else {
-    std::cout << "streamed " << relation.num_rows() << " row(s) in "
-              << (*stream)->num_batches() << " batch(es): " << violations
-              << " violation(s)";
-    if (clean != "off") {
-      std::cout << ", " << (*stream)->repairs().size()
-                << " repair(s) applied on ingest, "
-                << (*stream)->conflicts().size() << " conflict(s)";
-    }
-    std::cout << "\n";
-    for (const anmat::StreamConflict& c : (*stream)->conflicts()) {
-      std::cout << "conflict [" << anmat::StreamConflictKindName(c) << "] row "
-                << c.cell.row << " column " << c.cell.column << ": kept \""
-                << c.current << "\", one-shot repair would hold \""
-                << c.expected << "\" (rule " << c.pfd_index << ", batch "
-                << c.batch + 1 << ")\n";
-    }
-  }
-
-  if (args.Has("out")) {
-    if (anmat::Status s =
-            anmat::WriteCsvFile((*stream)->relation(), args.Get("out"));
+  const std::string out = args.Has("out") ? args.Get("out") : "";
+  if (!out.empty()) {
+    if (anmat::Status s = anmat::WriteCsvFile((*stream)->relation(), out);
         !s.ok()) {
       return Fail(s);
     }
-    if (!json) {
-      std::cout << "wrote accumulated table to " << args.Get("out") << "\n";
-    }
   }
-  return 0;
+  return PrintStreamSummary(anmat::StreamCloseReport(**stream, flags.clean,
+                                                     violations, rules, out),
+                            std::move(batches), json);
 }
 
-/// Stream mode over the daemon: the client reads the CSV (the daemon
-/// tells it the catalog path), opens a server-side DetectionStream and
-/// feeds it batch by batch over the socket — the wire protocol a live
-/// feed would use. Output is assembled to match direct mode byte for
-/// byte (JSON) / line for line (text).
-int RunStreamConnect(const ParsedArgs& args) {
-  if (!args.Has("project")) {
-    return FlagError("--connect requires --project <dir>");
-  }
-  size_t batch_rows = 256;
-  if (args.Has("batch")) {
-    batch_rows = std::strtoul(args.Get("batch").c_str(), nullptr, 10);
-    if (batch_rows == 0) {
-      return FlagError("invalid value for flag: --batch: must be >= 1");
-    }
-  }
-  const std::string clean = args.Has("clean") ? args.Get("clean") : "off";
-  if (clean != "off" && clean != "constant" && clean != "all") {
-    return FlagError("invalid value for flag: --clean: \"" + clean +
-                     "\" (expected off, constant, or all)");
-  }
-  const bool json = FlagJson(args);
+/// Project stream, in-process or over --connect alike: resolve the dataset
+/// (`dataset`), read its CSV here, open a host-side stream (`stream.open`)
+/// and feed it batch by batch (`stream.append`) — the verbs a live feed
+/// would send — then close it (`stream.close`).
+int RunStreamProject(const ParsedArgs& args, const StreamFlags& flags) {
+  auto channel = ProjectChannel::Open(args, /*writer=*/false);
+  if (!channel.ok()) return Fail(channel.status());
 
-  auto client = anmat::DaemonClient::Connect(args.Get("connect"));
-  if (!client.ok()) return Fail(client.status());
-
-  auto dataset = client->Call("dataset", ConnectParams(args));
+  auto dataset = channel->Run("dataset", ProjectParams(args));
   if (!dataset.ok()) return Fail(dataset.status());
-  if (!dataset->ok) return Fail(dataset->error);
   auto path = dataset->result.GetString("path");
   if (!path.ok()) return Fail(path.status());
   auto relation = anmat::ReadCsvFile(path.value());
   if (!relation.ok()) return Fail(relation.status());
 
-  anmat::JsonValue open_params = ConnectParams(args);
+  anmat::JsonValue open_params = ProjectParams(args);
   anmat::JsonValue columns = anmat::JsonValue::Array();
   for (const anmat::ColumnSpec& c : relation->schema().columns()) {
     columns.push_back(anmat::JsonValue::String(c.name));
   }
   open_params.Set("columns", std::move(columns));
-  open_params.Set("clean", anmat::JsonValue::String(clean));
-  auto open = client->Call("stream.open", std::move(open_params));
+  open_params.Set("clean", anmat::JsonValue::String(flags.clean));
+  auto open = channel->Run("stream.open", std::move(open_params));
   if (!open.ok()) return Fail(open.status());
-  if (!open->ok) return Fail(open->error);
   auto stream_id = open->result.GetInt("stream");
   if (!stream_id.ok()) return Fail(stream_id.status());
 
+  const bool json = FlagJson(args);
   anmat::JsonValue batches = anmat::JsonValue::Array();
   for (anmat::RowId begin = 0; begin < relation->num_rows();
-       begin += static_cast<anmat::RowId>(batch_rows)) {
+       begin += static_cast<anmat::RowId>(flags.batch_rows)) {
     const anmat::RowId end = std::min<anmat::RowId>(
-        begin + static_cast<anmat::RowId>(batch_rows),
+        begin + static_cast<anmat::RowId>(flags.batch_rows),
         static_cast<anmat::RowId>(relation->num_rows()));
     anmat::JsonValue rows = anmat::JsonValue::Array();
     for (anmat::RowId r = begin; r < end; ++r) {
@@ -1213,110 +953,42 @@ int RunStreamConnect(const ParsedArgs& args) {
       }
       rows.push_back(std::move(row));
     }
-    anmat::JsonValue params = ConnectParams(args);
+    anmat::JsonValue params = ProjectParams(args);
     params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
     params.Set("rows", std::move(rows));
-    auto appended = client->Call("stream.append", std::move(params));
+    auto appended = channel->Run("stream.append", std::move(params));
     if (!appended.ok()) return Fail(appended.status());
-    if (!appended->ok) return Fail(appended->error);
-    if (json) {
-      batches.push_back(appended->result);
-    } else {
-      std::cout << appended->text;
-    }
+    PrintBatch(std::move(appended).value(), json, &batches);
   }
 
-  anmat::JsonValue close_params = ConnectParams(args);
+  anmat::JsonValue close_params = ProjectParams(args);
   close_params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
-  if (args.Has("out")) {
-    // The daemon writes the accumulated CSV; resolve the path against
-    // this process's cwd, not the daemon's.
-    close_params.Set("out",
-                     anmat::JsonValue::String(
-                         std::filesystem::absolute(args.Get("out")).string()));
-  }
-  auto closed = client->Call("stream.close", std::move(close_params));
+  if (args.Has("out")) close_params.Set("out", PathParam(args, "out"));
+  auto closed = channel->Run("stream.close", std::move(close_params));
   if (!closed.ok()) return Fail(closed.status());
-  if (!closed->ok) return Fail(closed->error);
-
-  if (json) {
-    // Reassemble the direct CLI's root object (its exact key order);
-    // stream.close returns the summary fields, the batches array was
-    // collected append by append.
-    anmat::JsonValue root = anmat::JsonValue::Object();
-    root.Set("rows", anmat::JsonValue::Int(
-                         static_cast<int64_t>(relation->num_rows())));
-    root.Set("batches", std::move(batches));
-    for (const char* key :
-         {"clean", "distinct_values", "violations", "repairs", "conflicts"}) {
-      const anmat::JsonValue* value = closed->result.Get(key);
-      if (value != nullptr) root.Set(key, *value);
-    }
-    std::cout << root.DumpPretty() << "\n";
-  } else {
-    std::cout << closed->text;
-  }
-  return 0;
+  return PrintStreamSummary(std::move(closed).value(), std::move(batches),
+                            json);
 }
 
 int CmdStream(const ParsedArgs& args) {
-  if (args.Has("connect")) return RunStreamConnect(args);
+  StreamFlags flags;
   if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
+    if (int code = CheckProjectForm(args); code != 0) return code;
+    if (const std::string e = ParseStreamFlags(args, &flags); !e.empty()) {
+      return FlagError(e);
     }
-    return RunStream(relation, rules, args);
+    return RunStreamProject(args, flags);
   }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
-    return FlagError(e);
-  }
+  if (int code = CheckOneShotForm(args); code != 0) return code;
   if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
   auto relation = anmat::ReadCsvFile(args.positional[0]);
   if (!relation.ok()) return Fail(relation.status());
   auto rules = LoadConfirmedRules(args.Get("rules"));
   if (!rules.ok()) return Fail(rules.status());
-  return RunStream(relation.value(), rules.value(), args);
-}
-
-int CmdRepair(const ParsedArgs& args) {
-  if (args.Has("connect")) {
-    if (!args.Has("project")) {
-      return FlagError("--connect requires --project <dir>");
-    }
-    anmat::JsonValue params = ConnectParams(args);
-    if (args.Has("out")) {
-      // The daemon writes the cleaned CSV; resolve the path against this
-      // process's cwd, not the daemon's.
-      params.Set("out",
-                 anmat::JsonValue::String(
-                     std::filesystem::absolute(args.Get("out")).string()));
-    }
-    return FinishDaemonCall(DaemonCall(args, "repair", std::move(params)),
-                            FlagJson(args));
-  }
-  if (args.Has("project")) {
-    anmat::Relation relation;
-    std::vector<anmat::Pfd> rules;
-    if (int code = LoadProjectInputs(args, &relation, &rules); code != 0) {
-      return code;
-    }
-    return RunRepair(std::move(relation), rules, args);
-  }
-  if (const std::string e =
-          RejectFlags(args, {"data"}, "requires --project mode");
-      !e.empty()) {
+  if (const std::string e = ParseStreamFlags(args, &flags); !e.empty()) {
     return FlagError(e);
   }
-  if (args.positional.size() != 1 || !args.Has("rules")) return Usage();
-  auto relation = anmat::ReadCsvFile(args.positional[0]);
-  if (!relation.ok()) return Fail(relation.status());
-  auto rules = LoadConfirmedRules(args.Get("rules"));
-  if (!rules.ok()) return Fail(rules.status());
-  return RunRepair(std::move(relation).value(), rules.value(), args);
+  return RunStreamOneShot(relation.value(), rules.value(), args, flags);
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 # store migration from the CLI's point of view, the strict flag parsing
 # (unknown/duplicate flags exit 1 naming the flag), and the anmatd daemon:
 # serve → ping → the same verbs over --connect (byte-identical to the
-# direct --format json outputs) → graceful shutdown releasing the project
+# direct outputs, JSON and text) → graceful shutdown releasing the project
 # lock.
 set -euo pipefail
 
@@ -92,6 +92,11 @@ if "$ANMAT" rules confirm -1 --project proj 2>err.txt; then
   fail "negative rule id should be rejected"
 fi
 grep -q -- 'not a rule id: -1' err.txt || fail "negative id named"
+# An id that overflows 64 bits is no rule id either (not a wrapped one).
+[ "$("$ANMAT" rules confirm 99999999999999999999 --project proj \
+      2>err.txt; echo $?)" = 1 ] || fail "overflowing rule id exit code"
+grep -q -- 'not a rule id: 99999999999999999999' err.txt \
+  || fail "overflowing rule id named as typed"
 "$ANMAT" detect zips.csv --rules r.json | grep -q 'New York' \
   || fail "one-shot detect"
 "$ANMAT" repair zips.csv --rules r.json --out cleaned2.csv --format json \
@@ -354,6 +359,16 @@ wait "$writer_b" || fail "concurrent writer B failed"
   > direct_repair.json || fail "direct repair json"
 "$ANMAT" stream --project proj_d --batch 2 --clean constant --format json \
   > direct_stream.json || fail "direct stream json"
+# The text views too: the same ProjectHost renders them either way.
+"$ANMAT" rules list --project proj_d > direct_rules.txt \
+  || fail "direct rules list text"
+"$ANMAT" detect --project proj_d > direct_detect.txt || fail "direct detect"
+"$ANMAT" profile --project proj_d > direct_profile.txt \
+  || fail "direct profile"
+"$ANMAT" stream --project proj_d --batch 2 --clean constant \
+  > direct_stream.txt || fail "direct stream text"
+"$ANMAT" project fsck --project proj_d > direct_fsck.txt \
+  || fail "direct fsck"
 
 SOCK="$WORK/anmatd.sock"
 "$ANMAT" serve --socket "$SOCK" > daemon.log 2>&1 &
@@ -385,6 +400,18 @@ diff direct_clean.csv conn_clean.csv \
   --connect "$SOCK" > conn_stream.json || fail "connect stream"
 diff direct_stream.json conn_stream.json \
   || fail "stream diverges between direct and --connect"
+for view in rules detect profile stream fsck; do
+  case "$view" in
+    rules) args=(rules list) ;;
+    stream) args=(stream --batch 2 --clean constant) ;;
+    fsck) args=(project fsck) ;;
+    *) args=("$view") ;;
+  esac
+  "$ANMAT" "${args[@]}" --project proj_d --connect "$SOCK" \
+    > "conn_$view.txt" || fail "connect $view text"
+  diff "direct_$view.txt" "conn_$view.txt" \
+    || fail "$view text diverges between direct and --connect"
+done
 # Re-discovery is idempotent (equal pfds dedupe onto their rule ids), so
 # discover over --connect returns the same rule-store document.
 "$ANMAT" discover --project proj_d --format json --connect "$SOCK" \
@@ -410,6 +437,11 @@ grep -q 'held by process' err.txt \
 [ "$("$ANMAT" rules annotate 99 --note x --project proj_d \
       --connect "$SOCK" >/dev/null 2>&1; echo $?)" = 1 ] \
   || fail "annotate unknown id over --connect should exit 1"
+[ "$("$ANMAT" rules confirm 99999999999999999999 --project proj_d \
+      --connect "$SOCK" 2>err.txt; echo $?)" = 1 ] \
+  || fail "overflowing rule id over --connect exit code"
+grep -q -- 'not a rule id: 99999999999999999999' err.txt \
+  || fail "overflowing rule id over --connect named as typed"
 
 # stats exposes the warm engine's automaton cache counters.
 "$ANMAT" daemon stats --connect "$SOCK" \
