@@ -2,30 +2,35 @@
 // (Table 2: Zip/city), the way the demo's GUI is actually used — as a
 // *stateful* project that survives between sessions:
 //
-//   init project → attach dataset → profile → discover (rules recorded as
-//   `discovered` with provenance) → confirm/reject → detect → repair,
+//   init project → discover (attaches the dataset; rules recorded as
+//   `discovered` with provenance) → confirm → detect → repair,
 //
-// then the streaming path: a DetectionStream absorbing new records batch by
-// batch without re-paying pattern work for values it has already seen, with
-// clean-on-ingest repairing confident constant-rule errors as they arrive.
+// then the streaming path: a stream absorbing new records batch by batch
+// without re-paying pattern work for values it has already seen, with
+// clean-on-ingest repairing confident errors as they arrive.
 //
-// Layering on display (see session.h):
-//   Project (anmat/project.h)  durable state: catalog + RuleSet v2 store
-//   Engine  (anmat/engine.h)   execution: thread pool + parallel stages
-//   Session (anmat/session.h)  the workflow façade over both
+// Layering on display:
+//   Project     (anmat/project.h)          durable state: catalog + rule store
+//   Engine      (anmat/engine.h)           execution: thread pool + stages
+//   ProjectHost (service/project_host.h)   the project verbs over both — the
+//                                          same code `anmat --project` and
+//                                          the daemon run
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/example_quickstart
+//   ./build/example_quickstart [work-dir]   # default work dir: /tmp
+//
+// Exits 1 when detection finds no violation.
 
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
 
-#include "anmat/engine.h"
 #include "anmat/project.h"
-#include "anmat/report.h"
-#include "anmat/session.h"
+#include "service/project_host.h"
+#include "util/json.h"
 
 namespace {
 
@@ -42,107 +47,126 @@ int Fail(const anmat::Status& status) {
   return 1;
 }
 
+/// Runs one project verb, prints its text view and returns its JSON view.
+anmat::Result<anmat::JsonValue> Run(anmat::ProjectHost& host,
+                                    const std::string& verb,
+                                    const anmat::JsonValue& params) {
+  ANMAT_ASSIGN_OR_RETURN(anmat::VerbResult out, host.Dispatch(verb, params));
+  std::cout << out.text << "\n";
+  return std::move(out.result);
+}
+
 }  // namespace
 
-int main() {
-  // 0. A project directory is the durable state of the workflow: a catalog
-  //    (datasets + parameters) and a rule store with per-rule lifecycle.
-  const std::string dir = "/tmp/anmat_quickstart_project";
-  const std::string csv = "/tmp/anmat_quickstart_zips.csv";
+int main(int argc, char** argv) {
+  const std::string work = argc > 1 ? argv[1] : "/tmp";
+  const std::string dir = work + "/anmat_quickstart_project";
+  const std::string csv = work + "/anmat_quickstart_zips.csv";
+  std::filesystem::create_directories(work);
   std::filesystem::remove_all(dir);
   std::ofstream(csv) << kZipCsv;
 
-  anmat::Session session("quickstart");
-  // Session delegates execution to anmat::Engine: profiling fans out per
-  // column, discovery per candidate dependency, detection and repair per
-  // (PFD, tableau row). 0 = one worker per hardware thread; results are
-  // byte-identical to a serial run at any thread count.
-  session.SetNumThreads(0);
-
-  // 1. Parameters (§4 "Parameter Setting"): minimum coverage γ and the
+  // 1. A project directory is the durable state of the workflow: a catalog
+  //    (datasets + parameters) and a rule store with per-rule lifecycle.
+  //    Parameters (§4 "Parameter Setting"): minimum coverage γ and the
   //    allowed violation ratio. The toy table has 1 dirty row in 4, so we
-  //    tolerate up to 30% violations. Set before InitProject so they are
-  //    persisted into the catalog.
-  session.SetMinCoverage(0.5);
-  session.SetAllowedViolationRatio(0.3);
-  if (anmat::Status s = session.InitProject(dir); !s.ok()) return Fail(s);
+  //    tolerate up to 30% violations.
+  anmat::Project::Parameters parameters;
+  parameters.min_coverage = 0.5;
+  parameters.allowed_violation_ratio = 0.3;
+  auto project = anmat::Project::Init(dir, "quickstart", parameters);
+  if (!project.ok()) return Fail(project.status());
 
-  // 2. Dataset specification (the demo's drop-down; here: a CSV recorded
-  //    in the project catalog for provenance and later sessions).
-  if (anmat::Status s = session.project()->AttachDataset("zips", csv);
-      !s.ok()) {
-    return Fail(s);
+  // The host runs the project verbs on an anmat::Engine: discovery fans
+  // out per candidate dependency, detection and repair per (PFD, tableau
+  // row). 0 = one worker per hardware thread; results are byte-identical
+  // to a serial run at any thread count.
+  anmat::ProjectHost host(std::move(project).value(),
+                          anmat::ProjectHost::Options{0});
+
+  // 2. Discover PFDs (Figure 2 / Figure 4). `data` attaches the CSV to the
+  //    catalog as dataset "zips"; every discovered rule is recorded in the
+  //    store as `discovered`, carrying provenance (source dataset,
+  //    coverage, violation ratio). Expect a zip -> city rule whose
+  //    tableau maps zip patterns such as "(90)!\D{3}" to Los Angeles.
+  anmat::JsonValue discover = anmat::JsonValue::Object();
+  discover.Set("data", anmat::JsonValue::String(csv));
+  discover.Set("name", anmat::JsonValue::String("zips"));
+  if (auto r = Run(host, "discover", discover); !r.ok()) {
+    return Fail(r.status());
   }
-  // File ingest is zero-copy by default: the CSV is memory-mapped and
-  // cells are string_views into the mapping, which the relation's arena
-  // keeps alive (csv/csv_reader.h) — no per-cell copies on load.
-  if (anmat::Status s = session.LoadCsvFile(csv); !s.ok()) return Fail(s);
 
-  // 3. Profile (Figure 3).
-  if (anmat::Status s = session.Profile(); !s.ok()) return Fail(s);
-  std::cout << anmat::RenderProfilingView(session.profiles()) << "\n";
+  // 3. Confirm every discovered rule (the demo lets users confirm or
+  //    reject each dependency; `rules.reject` keeps a rule for audit
+  //    without ever applying it, and `all` leaves rejections alone).
+  anmat::JsonValue confirm = anmat::JsonValue::Object();
+  confirm.Set("all", anmat::JsonValue::Bool(true));
+  if (auto r = Run(host, "rules.confirm", confirm); !r.ok()) {
+    return Fail(r.status());
+  }
 
-  // 4. Discover PFDs (Figure 2 / Figure 4). Expect λ3-style
-  //    "(900)!\D{2} -> Los Angeles" and the λ5-style variable rule. With a
-  //    bound project every discovered rule is recorded in the store as
-  //    `discovered`, carrying provenance (source dataset, coverage,
-  //    violation ratio).
-  if (anmat::Status s = session.Discover(); !s.ok()) return Fail(s);
-  std::cout << anmat::RenderDiscoveredPfdsView(session.discovered()) << "\n";
-  std::cout << anmat::RenderRuleSetView(session.project()->rules()) << "\n";
+  // 4. Detect errors (Figure 5) against the confirmed rules: the New York
+  //    cell must be flagged with suggested repair "Los Angeles".
+  auto detected = Run(host, "detect", anmat::JsonValue::Object());
+  if (!detected.ok()) return Fail(detected.status());
+  const anmat::JsonValue* violations = detected->Get("violations");
+  const size_t found = violations != nullptr ? violations->size() : 0;
+  std::cout << "Detected " << found
+            << " violation(s); expected: the 90004/New York cell.\n\n";
+  if (found == 0) return 1;
 
-  // 5. Confirm every discovered rule (the demo lets users confirm or
-  //    reject each dependency; `Reject(i)` keeps a rule for audit without
-  //    ever applying it). This flips the stored lifecycle status.
-  session.ConfirmAll();
+  // 5. Repair (§3's suggestion semantics): confident suggestions are
+  //    applied iteratively and the cleaned table is written out. The
+  //    project's rules stay on disk, so a later run — or the CLI:
+  //      anmat detect --project <work-dir>/anmat_quickstart_project
+  //    — detects with them, no re-discovery needed.
+  anmat::JsonValue repair = anmat::JsonValue::Object();
+  repair.Set("out", anmat::JsonValue::String(
+                        work + "/anmat_quickstart_cleaned.csv"));
+  if (auto r = Run(host, "repair", repair); !r.ok()) return Fail(r.status());
 
-  // 6. Detect errors (Figure 5): the New York cell must be flagged with
-  //    suggested repair "Los Angeles".
-  if (anmat::Status s = session.Detect(); !s.ok()) return Fail(s);
-  std::cout << anmat::RenderViolationsView(session.relation(),
-                                           session.confirmed(),
-                                           session.detection());
-  std::cout << "\nDetected " << session.detection().violations.size()
-            << " violation(s); expected: the 90004/New York cell.\n";
-  if (session.detection().violations.empty()) return 1;
+  // 6. Streaming: records keep arriving after the rules are confirmed. A
+  //    stream extends its dictionaries and index postings per batch and
+  //    re-pays pattern work only for newly seen distinct values. With
+  //    clean-on-ingest ("all": constant-rule suggestions and
+  //    cumulative-majority variable-rule suggestions), confident repairs
+  //    are applied to each batch *before* it is absorbed (the zip -> city
+  //    rule fixes the San Diego cell below);
+  //    majority flips across batches are reported as conflicts, never
+  //    retroactive edits.
+  anmat::JsonValue open = anmat::JsonValue::Object();
+  anmat::JsonValue columns = anmat::JsonValue::Array();
+  columns.push_back(anmat::JsonValue::String("zip"));
+  columns.push_back(anmat::JsonValue::String("city"));
+  open.Set("columns", std::move(columns));
+  open.Set("clean", anmat::JsonValue::String("all"));
+  auto opened = Run(host, "stream.open", open);
+  if (!opened.ok()) return Fail(opened.status());
+  const anmat::JsonValue* stream = opened->Get("stream");
+  if (stream == nullptr) return Fail(anmat::Status::Internal("no stream id"));
 
-  // 7. Repair (§3's suggestion semantics): Engine::Repair applies the
-  //    confident suggestions iteratively, in parallel, byte-identical to a
-  //    serial run.
-  if (anmat::Status s = session.Repair(); !s.ok()) return Fail(s);
-  std::cout << "\n" << anmat::RenderRepairView(session.repair_result());
+  anmat::JsonValue append = anmat::JsonValue::Object();
+  append.Set("stream", *stream);
+  anmat::JsonValue rows = anmat::JsonValue::Array();
+  for (const auto& [zip, city] :
+       {std::pair{"90005", "Los Angeles"}, std::pair{"90006", "San Diego"}}) {
+    anmat::JsonValue row = anmat::JsonValue::Array();
+    row.push_back(anmat::JsonValue::String(zip));
+    row.push_back(anmat::JsonValue::String(city));
+    rows.push_back(std::move(row));
+  }
+  append.Set("rows", std::move(rows));
+  if (auto r = Run(host, "stream.append", append); !r.ok()) {
+    return Fail(r.status());
+  }
 
-  // 8. Persist. A later session — or the CLI:
-  //      anmat detect --project /tmp/anmat_quickstart_project
-  //    — reopens the project and detects with the stored confirmed rules,
-  //    no re-discovery needed.
-  if (anmat::Status s = session.SaveProject(); !s.ok()) return Fail(s);
-  std::cout << "\nproject saved to " << dir << " ("
-            << session.project()->rules().size() << " rule(s) on disk)\n";
+  anmat::JsonValue close = anmat::JsonValue::Object();
+  close.Set("stream", *stream);
+  if (auto r = Run(host, "stream.close", close); !r.ok()) {
+    return Fail(r.status());
+  }
 
-  // 9. Streaming: records keep arriving after the rules are confirmed. A
-  //    DetectionStream extends its dictionaries and index postings per
-  //    batch and re-pays pattern work only for newly seen distinct values.
-  //    With clean-on-ingest, confident repairs — constant-rule suggestions
-  //    and, by default, cumulative-majority variable-rule suggestions —
-  //    are applied to each batch *before* it is absorbed, so the stream
-  //    accumulates the cleaned relation (majority flips across batches are
-  //    surfaced via conflicts(), never retroactive edits).
-  auto stream = session.OpenDetectionStream();
-  if (!stream.ok()) return Fail(stream.status());
-  (*stream)->set_clean_on_ingest(true);
-  auto cumulative = (*stream)->AppendRows({{"90005", "Los Angeles"},
-                                           {"90006", "San Diego"}});
-  if (!cumulative.ok()) return Fail(cumulative.status());
-  std::cout << "\nStreaming: appended 2 records; clean-on-ingest applied "
-            << (*stream)->batch_repairs().size()
-            << " repair(s) (the 900\\D{2} -> Los Angeles rule fixes the "
-            << "new San Diego cell before it is absorbed) and surfaced "
-            << (*stream)->conflicts().size()
-            << " majority-flip conflict(s); cumulative violations: "
-            << cumulative->violations.size() << ".\n";
-
-  // The project directory and CSV are left in /tmp on purpose — the
-  // printed CLI suggestion above works after this example exits.
+  // The project directory and CSV are left in the work dir on purpose —
+  // the CLI suggestion above works after this example exits.
   return 0;
 }

@@ -6,8 +6,10 @@
 /// drives the pipeline stages with it.
 ///
 /// ```
-///   Session (session.h)           thin workflow façade (load → profile →
-///      │  delegates                discover → confirm → detect)
+///   Session (session.h)           in-memory workflow façade (load →
+///      │  delegates                profile → discover → confirm → detect)
+///   ProjectHost (service/)        the project verbs, for the CLI and the
+///      │  delegates                daemon
 ///      ▼
 ///   Engine (this file)            owns ThreadPool + ExecutionOptions
 ///      │  fans out via ParallelFor(…)
@@ -27,7 +29,7 @@
 /// byte-identical to serial runs (asserted by the randomized differential
 /// tests in engine_test.cc). The engine overwrites the `execution` block of
 /// whatever options it is handed with its own configuration — threads are
-/// set once, on the engine.
+/// set once, when the engine is constructed.
 ///
 /// The engine also owns the engine-wide `AutomatonCache`
 /// (pattern/automaton_cache.h) and installs it into every stage's options:
@@ -56,8 +58,6 @@
 #include "relation/relation.h"
 #include "repair/repair.h"
 #include "util/status.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace anmat {
@@ -65,39 +65,26 @@ namespace anmat {
 /// \brief The execution engine: pipeline stages + a shared thread pool +
 /// the engine-wide automaton cache.
 ///
-/// Movable, not copyable. Stage calls (Profile/Discover/Detect/OpenStream)
-/// may run concurrently from several threads — lazy pool creation is
-/// lock-guarded — as long as each call uses a distinct relation.
-/// Reconfiguration (`set_execution`, `SetNumThreads`, move) must be
-/// externally synchronized with stage calls (the options block itself is
-/// not synchronized), but it never destroys a pool that was already handed
-/// out: pools are shared (`shared_ptr` in `ExecutionOptions`), so a
-/// `DetectionStream` opened before a reconfiguration stays valid — it
-/// keeps running on its original pool and thread count, and the retired
-/// pool is freed the moment the last borrowing stream dies.
+/// Movable, not copyable. The configuration is fixed at construction, so
+/// stage calls (Profile/Discover/Detect/Repair/OpenStream) may run
+/// concurrently from several threads, as long as each call uses a distinct
+/// relation. To change the thread count, build a new engine (a move-assign
+/// must be externally synchronized with stage calls). Pool and cache are
+/// shared (`shared_ptr`), so a `DetectionStream` opened on an engine stays
+/// valid after that engine is replaced or destroyed: it keeps running on
+/// its original pool and cache, which are freed when the last borrower
+/// dies.
 class Engine {
  public:
   /// `execution.num_threads`: 1 = serial (default), 0 = one per hardware
-  /// thread, n = exactly n. The pool is created lazily on the first
-  /// parallel stage and reused across calls.
+  /// thread, n = exactly n. A pool is built here when that resolves to
+  /// more than one thread, and reused by every stage call.
   explicit Engine(ExecutionOptions execution = {});
-  ~Engine();
 
-  Engine(Engine&&) noexcept;
-  Engine& operator=(Engine&&) noexcept;
-
-  /// A snapshot of the execution configuration.
-  ExecutionOptions execution() const {
-    MutexLock lock(&pool_mu_);
-    return execution_;
-  }
-
-  /// Replaces the execution configuration (drops the pool; it is rebuilt
-  /// lazily at the new size).
-  void set_execution(ExecutionOptions execution);
-
-  /// Convenience for the common knob.
-  void SetNumThreads(size_t num_threads);
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+  Engine(Engine&&) noexcept = default;
+  Engine& operator=(Engine&&) noexcept = default;
 
   /// Column-parallel profiling (Figure 3).
   std::vector<ColumnProfile> Profile(const Relation& relation,
@@ -127,9 +114,8 @@ class Engine {
   /// Opens a streaming detector for `pfds` over relations with `schema`;
   /// batches appended to it pay pattern work only for newly seen distinct
   /// values (see detection_stream.h). The stream co-owns the engine's pool
-  /// and automaton cache through its options, so it stays valid across
-  /// engine reconfiguration (it keeps its original pool) and even engine
-  /// destruction; retired pools are freed when their last borrower dies.
+  /// and automaton cache through its options, so it stays valid after the
+  /// engine is replaced or destroyed.
   Result<std::unique_ptr<DetectionStream>> OpenStream(
       const Schema& schema, std::vector<Pfd> pfds,
       DetectorOptions options = {});
@@ -139,18 +125,9 @@ class Engine {
   AutomatonCache& automata() { return *automata_; }
 
  private:
-  /// The engine's execution block with the (lazily created) pool
-  /// installed.
-  ExecutionOptions Exec();
-
-  /// Guards `execution_` and lazy creation of `pool_` under concurrent
-  /// stage calls.
-  mutable Mutex pool_mu_;
-  ExecutionOptions execution_ ANMAT_GUARDED_BY(pool_mu_);
-  /// Shared with every options block handed out; resetting it on
-  /// reconfiguration retires the pool without destroying it under a
-  /// borrower.
-  std::shared_ptr<ThreadPool> pool_ ANMAT_GUARDED_BY(pool_mu_);
+  /// The configuration with the engine's pool installed (null when
+  /// serial); copied into every stage's options.
+  ExecutionOptions execution_;
   /// Engine-wide automaton cache, shared with streams the same way.
   std::shared_ptr<AutomatonCache> automata_;
 };

@@ -49,7 +49,8 @@ std::string FingerprintCsvHeader(const std::string& path,
 
 }  // namespace
 
-Result<Project> Project::Init(const std::string& dir, std::string name) {
+Result<Project> Project::Init(const std::string& dir, std::string name,
+                              Parameters parameters) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -71,6 +72,7 @@ Result<Project> Project::Init(const std::string& dir, std::string name) {
     project.name_ = std::move(name);
   }
   if (project.name_.empty()) project.name_ = "anmat";
+  project.parameters_ = parameters;
   ANMAT_ASSIGN_OR_RETURN(project.lock_,
                          FileLock::Acquire(project.lock_path()));
   // Re-check under the lock: another process may have initialized the

@@ -31,8 +31,8 @@
 /// share the lock (in-process coordination stays the caller's concern).
 ///
 /// `Project` owns durable state only; execution stays in `anmat::Engine`.
-/// The intended composition (what `Session` and the CLI's `--project`
-/// subcommands do):
+/// `ProjectHost` (service/project_host.h) composes the two into the project
+/// verbs the CLI and the daemon run; by hand the composition reads:
 ///
 /// \code
 ///   ANMAT_ASSIGN_OR_RETURN(anmat::Project project,
@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "csv/csv_reader.h"
@@ -103,10 +104,14 @@ class Project {
   };
 
   /// Creates `dir` (and parents) with an empty catalog and rule set and
-  /// persists both; the returned project holds the project lock. Fails
-  /// with AlreadyExists when `dir` already holds a project. `name`
-  /// defaults to the directory's base name.
-  static Result<Project> Init(const std::string& dir, std::string name = "");
+  /// persists both, the catalog holding `parameters`; the returned project
+  /// holds the project lock. Fails with AlreadyExists when `dir` already
+  /// holds a project. `name` defaults to the directory's base name.
+  static Result<Project> Init(const std::string& dir, std::string name,
+                              Parameters parameters);
+  static Result<Project> Init(const std::string& dir, std::string name = "") {
+    return Init(dir, std::move(name), Parameters());
+  }
 
   /// Opens an existing project directory; NotFound when `dir` has no
   /// catalog (and no pending journal that would create one). Acquires

@@ -9,66 +9,10 @@ Session::Session(std::string project_name)
   options_.table_name = project_name_;
 }
 
-Status Session::OpenProject(const std::string& dir) {
-  ANMAT_ASSIGN_OR_RETURN(Project project, Project::Open(dir));
-  project_ = std::make_unique<Project>(std::move(project));
-  project_name_ = project_->name();
-  options_.table_name = project_name_;
-  options_.min_coverage = project_->parameters().min_coverage;
-  options_.allowed_violation_ratio =
-      project_->parameters().allowed_violation_ratio;
-  confirmed_ = project_->ConfirmedPfds();
-  ResetDiscoveryState();
-  return Status::OK();
-}
-
-Status Session::InitProject(const std::string& dir) {
-  ANMAT_ASSIGN_OR_RETURN(Project project, Project::Init(dir, project_name_));
-  Project::Parameters parameters;
-  parameters.min_coverage = options_.min_coverage;
-  parameters.allowed_violation_ratio = options_.allowed_violation_ratio;
-  project.set_parameters(parameters);
-  // Persist the session's parameters right away: Init wrote the catalog
-  // with defaults, and another process (or a crash before SaveProject)
-  // must not observe thresholds the user already overrode.
-  ANMAT_RETURN_NOT_OK(project.Save());
-  project_ = std::make_unique<Project>(std::move(project));
-  // A fresh project has no rules: drop confirmations inherited from a
-  // previously bound project (they exist in neither this store nor, after
-  // SaveProject(), on disk).
-  confirmed_.clear();
-  ResetDiscoveryState();
-  return Status::OK();
-}
-
-void Session::ResetDiscoveryState() {
-  // Discovered indices and their store ids are meaningless against a newly
-  // bound project: without this, Confirm(i)/Reject(i) after a rebind would
-  // flip rules in the new store by the previous project's ids.
-  discovered_.clear();
-  discovered_ids_.clear();
-  rejected_indices_.clear();
-  discovered_ran_ = false;
-}
-
-Status Session::SaveProject() {
-  if (project_ == nullptr) {
-    return Status::InvalidArgument("no project bound; call OpenProject() or "
-                                   "InitProject() first");
-  }
-  Project::Parameters parameters;
-  parameters.min_coverage = options_.min_coverage;
-  parameters.allowed_violation_ratio = options_.allowed_violation_ratio;
-  project_->set_parameters(parameters);
-  return project_->Save();
-}
-
 Status Session::LoadCsvFile(const std::string& path,
                             const CsvOptions& options) {
   ANMAT_ASSIGN_OR_RETURN(Relation rel, ReadCsvFile(path, options));
-  ANMAT_RETURN_NOT_OK(LoadRelation(std::move(rel)));
-  data_source_ = path;
-  return Status::OK();
+  return LoadRelation(std::move(rel));
 }
 
 Status Session::LoadCsvString(std::string_view text,
@@ -80,17 +24,11 @@ Status Session::LoadCsvString(std::string_view text,
 Status Session::LoadRelation(Relation relation) {
   relation_ = std::move(relation);
   loaded_ = true;
-  profiled_ = false;
   discovered_ran_ = false;
-  data_source_ = "<memory>";
   profiles_.clear();
   discovered_.clear();
-  discovered_ids_.clear();
   rejected_indices_.clear();
-  // A bound project's confirmed rules survive a (re)load: the demo's
-  // workflow detects new data against the stored rule set.
-  confirmed_ = project_ != nullptr ? project_->ConfirmedPfds()
-                                   : std::vector<Pfd>{};
+  confirmed_.clear();
   detection_ = DetectionResult{};
   repair_result_ = RepairResult{};
   return Status::OK();
@@ -99,7 +37,6 @@ Status Session::LoadRelation(Relation relation) {
 Status Session::Profile() {
   if (!loaded_) return Status::InvalidArgument("no dataset loaded");
   profiles_ = engine_.Profile(relation_, options_.profiler);
-  profiled_ = true;
   return Status::OK();
 }
 
@@ -108,22 +45,10 @@ Status Session::Discover() {
   ANMAT_ASSIGN_OR_RETURN(DiscoveryResult result,
                          engine_.Discover(relation_, options_));
   profiles_ = std::move(result.profiles);
-  profiled_ = true;
   discovered_ = std::move(result.pfds);
   discovered_ran_ = true;
-  discovered_ids_.clear();
   rejected_indices_.clear();  // new discovery run, new indices
-  if (project_ != nullptr) {
-    for (const DiscoveredPfd& d : discovered_) {
-      discovered_ids_.push_back(project_->AddDiscoveredRule(d, data_source_));
-    }
-    // The store's confirmed rules stay applied across discovery runs (the
-    // demo workflow detects with the stored rule set; re-discovered rules
-    // keep their stored lifecycle status via AddDiscoveredRule's dedup).
-    confirmed_ = project_->ConfirmedPfds();
-  } else {
-    confirmed_.clear();
-  }
+  confirmed_.clear();
   return Status::OK();
 }
 
@@ -133,10 +58,6 @@ bool Session::IsConfirmed(const Pfd& pfd) const {
     if (c == pfd) return true;
   }
   return false;
-}
-
-uint64_t Session::DiscoveredRuleId(size_t index) const {
-  return index < discovered_ids_.size() ? discovered_ids_[index] : 0;
 }
 
 Status Session::Confirm(size_t index) {
@@ -151,10 +72,6 @@ Status Session::Confirm(size_t index) {
   if (!IsConfirmed(discovered_[index].pfd)) {
     confirmed_.push_back(discovered_[index].pfd);
   }
-  if (project_ != nullptr && DiscoveredRuleId(index) != 0) {
-    ANMAT_RETURN_NOT_OK(project_->SetRuleStatus(DiscoveredRuleId(index),
-                                                RuleStatus::kConfirmed));
-  }
   return Status::OK();
 }
 
@@ -168,54 +85,28 @@ Status Session::Reject(size_t index) {
   }
   // Rejecting un-applies an earlier Confirm of the same rule: a rejected
   // rule is never applied (rule_store.h's kRejected contract). The index
-  // is remembered so a later ConfirmAll() keeps the rejection too — with
-  // or without a bound project.
+  // is remembered so a later ConfirmAll() keeps the rejection too.
   rejected_indices_.insert(index);
   const Pfd& pfd = discovered_[index].pfd;
   confirmed_.erase(
       std::remove_if(confirmed_.begin(), confirmed_.end(),
                      [&](const Pfd& c) { return c == pfd; }),
       confirmed_.end());
-  if (project_ != nullptr && DiscoveredRuleId(index) != 0) {
-    ANMAT_RETURN_NOT_OK(project_->SetRuleStatus(DiscoveredRuleId(index),
-                                                RuleStatus::kRejected));
-  }
   return Status::OK();
 }
 
 void Session::ConfirmAll() {
   for (size_t i = 0; i < discovered_.size(); ++i) {
-    // A rule the user rejected — this session (rejected_indices_) or in a
-    // bound project's store — stays rejected under the blanket confirm;
+    // A rule the user rejected stays rejected under the blanket confirm;
     // only an explicit Confirm(i) overrides a rejection.
     if (rejected_indices_.count(i) > 0) continue;
-    const uint64_t id = DiscoveredRuleId(i);
-    if (project_ != nullptr && id != 0) {
-      const RuleRecord* record = project_->rules().Find(id);
-      if (record != nullptr && record->status == RuleStatus::kRejected) {
-        continue;
-      }
-      (void)project_->SetRuleStatus(id, RuleStatus::kConfirmed);
-    }
     if (!IsConfirmed(discovered_[i].pfd)) {
       confirmed_.push_back(discovered_[i].pfd);
     }
   }
 }
 
-void Session::ClearConfirmations() {
-  confirmed_.clear();
-  // With a bound project the applied set is re-seeded from the store on
-  // every (re)load, so clearing must also demote the stored statuses —
-  // otherwise the "cleared" rules silently come back.
-  if (project_ != nullptr) {
-    for (const RuleRecord& r : project_->rules().records()) {
-      if (r.status == RuleStatus::kConfirmed) {
-        (void)project_->SetRuleStatus(r.id, RuleStatus::kDiscovered);
-      }
-    }
-  }
-}
+void Session::ClearConfirmations() { confirmed_.clear(); }
 
 Status Session::Detect() {
   if (!loaded_) return Status::InvalidArgument("no dataset loaded");

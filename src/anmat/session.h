@@ -2,27 +2,23 @@
 #define ANMAT_ANMAT_SESSION_H_
 
 /// \file session.h
-/// The ANMAT façade: the workflow of the demo's GUI (§4) as a library API.
+/// The ANMAT façade: the workflow of the demo's GUI (§4) as an in-memory
+/// library API.
 ///
-/// `Session` is a thin workflow wrapper over two layers:
+/// `Session` holds one dataset and the workflow state around it (profiles,
+/// discovered PFDs, the user's confirmations, the latest detection and
+/// repair) and delegates every stage to `anmat::Engine` (engine.h), which
+/// runs profiling column-parallel, discovery candidate-parallel, detection
+/// and repair (PFD, tableau row)-parallel, all byte-identical to serial.
 ///
-///  * `anmat::Engine` (engine.h) — execution: owns the thread pool and runs
-///    profiling column-parallel, discovery candidate-parallel, detection and
-///    repair (PFD, tableau row)-parallel, all byte-identical to serial.
-///  * `anmat::Project` (project.h) — durable state: the catalog and the
-///    RuleSet v2 store with per-rule lifecycle (discovered / confirmed /
-///    rejected) and provenance.
-///
-/// By default a session is ephemeral (in-memory rule set, nothing on disk).
-/// Binding a project directory makes the same workflow persistent: rules
-/// discovered in the session land in the project store with provenance,
-/// Confirm/Reject flip their lifecycle status, and `SaveProject()` writes
-/// everything back.
+/// Nothing is persisted. The durable workflow (a project directory holding
+/// a catalog and a rule store with per-rule lifecycle and provenance) runs
+/// through the project verbs of service/project_host.h, in process or in
+/// the daemon; examples/quickstart.cpp walks through it.
 ///
 /// \code
 ///   anmat::Session session("census");
 ///   session.SetNumThreads(0);                  // 0 = all hardware threads
-///   ANMAT_RETURN_NOT_OK(session.OpenProject("census-proj"));  // optional
 ///   ANMAT_RETURN_NOT_OK(session.LoadCsvFile("addresses.csv"));
 ///   session.SetMinCoverage(0.6);
 ///   session.SetAllowedViolationRatio(0.05);
@@ -30,9 +26,8 @@
 ///   ANMAT_RETURN_NOT_OK(session.Discover());
 ///   session.ConfirmAll();                      // or Confirm(i) / Reject(i)
 ///   ANMAT_RETURN_NOT_OK(session.Detect());
-///   std::cout << session.RenderViolationsView();
+///   std::cout << anmat::RenderSessionReport(session);  // report.h
 ///   ANMAT_RETURN_NOT_OK(session.Repair());     // apply confident repairs
-///   ANMAT_RETURN_NOT_OK(session.SaveProject());
 /// \endcode
 ///
 /// For append-heavy workloads, `OpenDetectionStream()` returns a
@@ -51,7 +46,6 @@
 #include <vector>
 
 #include "anmat/engine.h"
-#include "anmat/project.h"
 #include "csv/csv_reader.h"
 #include "detect/detector.h"
 #include "discovery/discovery.h"
@@ -65,24 +59,6 @@ namespace anmat {
 class Session {
  public:
   explicit Session(std::string project_name = "default");
-
-  // -- Persistent project (optional) ---------------------------------------
-
-  /// Binds the session to an existing project directory: adopts its name
-  /// and parameters, and loads its confirmed rules (so Detect()/Repair()
-  /// work immediately, without re-discovering).
-  Status OpenProject(const std::string& dir);
-
-  /// Creates a project directory and binds the session to it.
-  Status InitProject(const std::string& dir);
-
-  /// The bound project, or nullptr for an ephemeral session.
-  Project* project() { return project_.get(); }
-  const Project* project() const { return project_.get(); }
-
-  /// Persists the bound project (catalog + rule set); InvalidArgument when
-  /// no project is bound.
-  Status SaveProject();
 
   // -- Dataset specification (Figure 3, top) ------------------------------
 
@@ -103,7 +79,11 @@ class Session {
     options_.allowed_violation_ratio = ratio;
   }
   /// Worker threads for every pipeline stage (1 = serial, 0 = hardware).
-  void SetNumThreads(size_t num_threads) { engine_.SetNumThreads(num_threads); }
+  /// Replaces the engine (and with it the automaton cache); streams opened
+  /// earlier keep the pool and cache they were opened with.
+  void SetNumThreads(size_t num_threads) {
+    engine_ = Engine(ExecutionOptions{num_threads, true, nullptr});
+  }
   DiscoveryOptions& mutable_discovery_options() { return options_; }
   /// Detector settings, shared by Detect(), Repair()'s detection passes and
   /// OpenDetectionStream() — one knob block so the three stages agree.
@@ -114,8 +94,8 @@ class Session {
   /// same detector configuration.
   RepairOptions& mutable_repair_options() { return repair_options_; }
 
-  /// The execution engine behind the pipeline calls (for execution options
-  /// beyond the thread count, or to drive stages directly).
+  /// The execution engine behind the pipeline calls (to drive stages
+  /// directly, or to read its automaton cache statistics).
   Engine& engine() { return engine_; }
 
   // -- Pipeline ------------------------------------------------------------
@@ -123,29 +103,24 @@ class Session {
   /// Profiles the dataset (Figure 3). Implied by Discover() if skipped.
   Status Profile();
 
-  /// Runs PFD discovery (Figure 2 / Figure 4). With a bound project, every
-  /// discovered rule is recorded in the project store as `discovered` with
-  /// provenance (source dataset, coverage, violation ratio).
+  /// Runs PFD discovery (Figure 2 / Figure 4). A new run replaces the
+  /// discovered rules and empties the applied set.
   Status Discover();
 
   /// Marks discovered PFD `i` as confirmed for detection (the demo lets the
-  /// user confirm each dependency; unconfirmed rules are not applied). With
-  /// a bound project, also flips the stored rule's lifecycle status.
+  /// user confirm each dependency; unconfirmed rules are not applied).
+  /// Overrides an earlier Reject(i).
   Status Confirm(size_t index);
 
-  /// Marks discovered PFD `i` as rejected (kept in a bound project's store
-  /// for audit, never applied).
+  /// Marks discovered PFD `i` as rejected: un-applies it if it was
+  /// confirmed, and keeps it out of later ConfirmAll() calls.
   Status Reject(size_t index);
 
-  /// Confirms every discovered rule — except ones whose bound-project
-  /// record is rejected: a stored rejection survives the blanket confirm
-  /// and is only overridden by an explicit Confirm(i).
+  /// Confirms every discovered rule except the ones rejected since this
+  /// discovery run; only an explicit Confirm(i) overrides a rejection.
   void ConfirmAll();
 
-  /// Empties the applied set. With a bound project, also demotes every
-  /// stored `confirmed` rule back to `discovered` (the store re-seeds the
-  /// applied set on each load, so in-memory clearing alone would not
-  /// stick); rejected rules are untouched.
+  /// Empties the applied set.
   void ClearConfirmations();
 
   /// Runs detection with the confirmed PFDs (Figure 5).
@@ -161,8 +136,8 @@ class Session {
   /// Opens a streaming detector over the confirmed PFDs and the loaded
   /// relation's schema; append batches of new records to it as they arrive
   /// (see detection_stream.h). The stream is independent of the session's
-  /// own relation (it accumulates its own) but borrows the session engine's
-  /// pool, so it must not outlive the session. Its clean-on-ingest mode
+  /// own relation (it accumulates its own) and co-owns the engine's pool
+  /// and cache, so it may outlive the session. Its clean-on-ingest mode
   /// honors mutable_repair_options().apply_variable_repairs.
   Result<std::unique_ptr<DetectionStream>> OpenDetectionStream();
 
@@ -175,36 +150,21 @@ class Session {
   const RepairResult& repair_result() const { return repair_result_; }
 
  private:
-  /// Project-store rule id for discovered PFD `index` (0 when unbound).
-  uint64_t DiscoveredRuleId(size_t index) const;
-
   bool IsConfirmed(const Pfd& pfd) const;
-
-  /// Invalidates discovered_/discovered_ids_ when the bound project
-  /// changes (their store ids belong to the previous project).
-  void ResetDiscoveryState();
 
   std::string project_name_;
   Engine engine_;
-  std::unique_ptr<Project> project_;
   Relation relation_;
   bool loaded_ = false;
-  /// Where the loaded data came from (file path or "<memory>"), recorded
-  /// as rule provenance when a project is bound.
-  std::string data_source_ = "<memory>";
 
   DiscoveryOptions options_;
   DetectorOptions detector_options_;
   RepairOptions repair_options_;
 
   std::vector<ColumnProfile> profiles_;
-  bool profiled_ = false;
   std::vector<DiscoveredPfd> discovered_;
-  /// Project-store ids of `discovered_` (parallel vector; empty when no
-  /// project is bound).
-  std::vector<uint64_t> discovered_ids_;
-  /// Indices the user rejected this discovery run — with or without a
-  /// bound project — so ConfirmAll() keeps those rejections.
+  /// Indices the user rejected this discovery run, so ConfirmAll() keeps
+  /// those rejections.
   std::set<size_t> rejected_indices_;
   bool discovered_ran_ = false;
   std::vector<Pfd> confirmed_;

@@ -376,9 +376,9 @@ JsonValue Daemon::StatsJson() {
 }
 
 Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir,
-                                           const std::string* init_name) {
+                                           const InitRequest* init) {
   const std::string key = CanonicalDir(dir);
-  if (init_name == nullptr) {
+  if (init == nullptr) {
     MutexLock lock(&hosts_mu_);
     auto it = hosts_.find(key);
     if (it != hosts_.end()) return it->second.get();
@@ -394,7 +394,7 @@ Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir,
       // Never replace a live host: executors may hold raw ProjectHost*
       // into it. An init gets here despite Init's own catalog check if the
       // catalog file was deleted externally while the project is hosted.
-      if (init_name == nullptr) return it->second.get();
+      if (init == nullptr) return it->second.get();
       return Status::AlreadyExists("project " + key +
                                    " is already hosted by this daemon");
     }
@@ -403,8 +403,9 @@ Result<ProjectHost*> Daemon::GetOrOpenHost(const std::string& dir,
   Project::OpenOptions open_options;
   open_options.lock_wait_ms = options_.lock_wait_ms;
   ANMAT_ASSIGN_OR_RETURN(Project project,
-                         init_name != nullptr
-                             ? Project::Init(key, *init_name)
+                         init != nullptr
+                             ? Project::Init(key, init->name,
+                                             init->parameters)
                              : Project::Open(key, open_options));
   auto host = std::make_unique<ProjectHost>(
       std::move(project), ProjectHost::Options{options_.engine_threads});
@@ -427,12 +428,19 @@ std::string Daemon::ExecuteVerb(const ServiceRequest& request) {
         Status::InvalidArgument("verb \"" + request.verb + "\" needs a \"" +
                                 dir_key + "\" param (project directory)"));
   }
-  std::string name;
-  if (const JsonValue* n = request.params.Get("name");
-      init && n != nullptr && n->is_string()) {
-    name = n->as_string();
+  InitRequest init_request;
+  if (init) {
+    if (const JsonValue* n = request.params.Get("name");
+        n != nullptr && n->is_string()) {
+      init_request.name = n->as_string();
+    }
+    auto parameters = ParamParameters(request.params, Project::Parameters());
+    if (!parameters.ok()) {
+      return SerializeServiceError(request.id, parameters.status());
+    }
+    init_request.parameters = parameters.value();
   }
-  auto host = GetOrOpenHost(dir.value(), init ? &name : nullptr);
+  auto host = GetOrOpenHost(dir.value(), init ? &init_request : nullptr);
   if (!host.ok()) return SerializeServiceError(request.id, host.status());
 
   auto result = (*host)->Dispatch(open ? "info" : request.verb,

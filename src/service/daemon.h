@@ -51,8 +51,9 @@
 ///   shutdown      -> {"stopping": true}, then a graceful drain
 ///   project.open  -> params {"dir"}: opens (or reuses) the host, returns
 ///                    its info block
-///   project.init  -> params {"dir", "name"?}: initializes a fresh
-///                    project and hosts it
+///   project.init  -> params {"dir", "name"?, "coverage"?,
+///                    "violations"?}: initializes a fresh project with
+///                    those discovery parameters and hosts it
 
 #include <atomic>
 #include <cstdint>
@@ -139,12 +140,17 @@ class Daemon {
   /// serialized response payload.
   std::string ExecuteVerb(const ServiceRequest& request);
 
-  /// The host serving `dir`, opening it on first use; with `init_name`,
-  /// initializes a fresh project there (named `*init_name`) and hosts it.
-  /// Opens of the same directory are serialized so a project is never
-  /// hosted twice.
+  /// What `project.init` writes into the new catalog.
+  struct InitRequest {
+    std::string name;
+    Project::Parameters parameters;
+  };
+
+  /// The host serving `dir`, opening it on first use; with `init`,
+  /// initializes a fresh project there and hosts it. Opens of the same
+  /// directory are serialized so a project is never hosted twice.
   Result<ProjectHost*> GetOrOpenHost(const std::string& dir,
-                                     const std::string* init_name = nullptr);
+                                     const InitRequest* init = nullptr);
 
   JsonValue StatsJson();
 

@@ -64,6 +64,17 @@ Result<std::vector<uint64_t>> ParamIds(const JsonValue& params) {
 
 }  // namespace
 
+Result<Project::Parameters> ParamParameters(const JsonValue& params,
+                                            Project::Parameters fallback) {
+  ANMAT_ASSIGN_OR_RETURN(
+      fallback.min_coverage,
+      ParamDouble(params, "coverage", fallback.min_coverage));
+  ANMAT_ASSIGN_OR_RETURN(
+      fallback.allowed_violation_ratio,
+      ParamDouble(params, "violations", fallback.allowed_violation_ratio));
+  return fallback;
+}
+
 ProjectHost::ProjectHost(Project project, const Options& options)
     : project_(std::move(project)),
       dir_(project_.dir()),
@@ -204,13 +215,8 @@ Result<VerbResult> ProjectHost::Dataset(const JsonValue& params) {
 Result<VerbResult> ProjectHost::Discover(const JsonValue& params) {
   WriterMutexLock gate(&gate_);
 
-  Project::Parameters parameters = project_.parameters();
-  ANMAT_ASSIGN_OR_RETURN(
-      parameters.min_coverage,
-      ParamDouble(params, "coverage", parameters.min_coverage));
-  ANMAT_ASSIGN_OR_RETURN(
-      parameters.allowed_violation_ratio,
-      ParamDouble(params, "violations", parameters.allowed_violation_ratio));
+  ANMAT_ASSIGN_OR_RETURN(const Project::Parameters parameters,
+                         ParamParameters(params, project_.parameters()));
   project_.set_parameters(parameters);
 
   ANMAT_ASSIGN_OR_RETURN(const std::string data,

@@ -51,6 +51,13 @@
 
 namespace anmat {
 
+/// The discovery parameters in a verb's params (`coverage`, `violations`),
+/// each falling back to `fallback`'s value when absent; a value that is not
+/// a number is InvalidArgument naming the key. Shared by `discover` and the
+/// daemon's `project.init`.
+Result<Project::Parameters> ParamParameters(const JsonValue& params,
+                                            Project::Parameters fallback);
+
 /// \brief An open project and the verbs that run against it.
 class ProjectHost {
  public:

@@ -89,9 +89,8 @@ struct ExecutionOptions {
   /// Optional shared pool. When null, `ParallelFor` spins up a transient
   /// pool per call; the Engine installs its long-lived pool here. Shared
   /// ownership: every options copy (e.g. the one a `DetectionStream` keeps
-  /// for its lifetime) co-owns the pool, so a pool the engine retires on
-  /// reconfiguration is freed as soon as the last borrower lets go — not
-  /// parked until engine destruction.
+  /// for its lifetime) co-owns the pool, so a stream keeps its pool alive
+  /// after the engine that built it is gone.
   std::shared_ptr<ThreadPool> pool;
 
   /// `num_threads` with the 0 = hardware default resolved.

@@ -448,29 +448,29 @@ TEST(DetectionStreamTest, AppendRowsConvenience) {
   EXPECT_EQ(Fingerprint(cumulative.value()), Fingerprint(one_shot.value()));
 }
 
-TEST(DetectionStreamTest, StreamSurvivesEngineReconfiguration) {
-  // Reconfiguring the engine retires (not destroys) the pool a previously
-  // opened stream captured, so the stream stays valid and its cumulative
-  // results stay byte-identical to one-shot detection.
+TEST(DetectionStreamTest, StreamOutlivesEngine) {
+  // A stream co-owns its engine's pool and automaton cache, so it keeps
+  // working after the engine is destroyed, and its cumulative results stay
+  // byte-identical to one-shot detection.
   const Dataset d = ZipCityStateDataset(600, 216, 0.04);
   const std::vector<Pfd> rules = DiscoverRules(d.relation);
   ASSERT_FALSE(rules.empty());
 
-  Engine engine(ExecutionOptions{4, true, nullptr});
-  auto stream = engine.OpenStream(d.relation.schema(), rules);
+  auto engine = std::make_unique<Engine>(ExecutionOptions{4, true, nullptr});
+  auto stream = engine->OpenStream(d.relation.schema(), rules);
   ASSERT_TRUE(stream.ok()) << stream.status();
 
   const RowId half = static_cast<RowId>(d.relation.num_rows() / 2);
   ASSERT_TRUE((*stream)->AppendBatch(d.relation.Slice(0, half).value()).ok());
 
-  engine.SetNumThreads(8);  // stream keeps its original 4-thread pool
+  engine.reset();  // the stream's 4-thread pool lives on
 
   auto second = (*stream)->AppendBatch(
       d.relation
           .Slice(half, static_cast<RowId>(d.relation.num_rows()))
           .value());
   ASSERT_TRUE(second.ok()) << second.status();
-  auto one_shot = engine.Detect(d.relation, rules);
+  auto one_shot = Engine().Detect(d.relation, rules);
   ASSERT_TRUE(one_shot.ok());
   EXPECT_EQ(Fingerprint(second.value()), Fingerprint(one_shot.value()));
 }

@@ -6,7 +6,8 @@
 // writers proving the in-process writer gate loses no edit, kill -9
 // of a serving daemon leaving the project recoverable, and the
 // byte-identity of daemon results with the report-layer JSON the
-// one-shot CLI prints.
+// one-shot CLI prints — plus the store semantics of the project verbs
+// (discover, rules.confirm) through a ProjectHost in this process.
 
 #include "service/daemon.h"
 
@@ -36,6 +37,7 @@
 #include "pattern/pattern_parser.h"
 #include "service/client.h"
 #include "service/framing.h"
+#include "service/project_host.h"
 #include "service/protocol.h"
 
 namespace anmat {
@@ -900,6 +902,148 @@ TEST(DaemonTest, StreamVerbsAcrossOneConnection) {
   EXPECT_FALSE(missing.ok);
   runner.Stop();
   std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonTest, InitPersistsParameters) {
+  const std::string socket_path = FreshSocket("init");
+  const std::string dir = FreshDir("init");
+  const std::string bad_dir = FreshDir("init-bad");
+  {
+    DaemonRunner runner(socket_path);
+    DaemonClient client = DaemonClient::Connect(socket_path).value();
+    JsonValue init = JsonValue::Object();
+    init.Set("dir", JsonValue::String(dir));
+    init.Set("name", JsonValue::String("pc"));
+    init.Set("coverage", JsonValue::Number(0.25));
+    init.Set("violations", JsonValue::Number(0.05));
+    ServiceResponse created =
+        client.Call("project.init", std::move(init)).value();
+    ASSERT_TRUE(created.ok) << created.error.message();
+    EXPECT_EQ(created.result.GetString("name").value(), "pc");
+
+    // A parameter that is not a number is refused before anything is
+    // created.
+    JsonValue bad = JsonValue::Object();
+    bad.Set("dir", JsonValue::String(bad_dir));
+    bad.Set("coverage", JsonValue::String("high"));
+    ServiceResponse refused =
+        client.Call("project.init", std::move(bad)).value();
+    ASSERT_FALSE(refused.ok);
+    EXPECT_EQ(refused.error.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(refused.error.message().find("\"coverage\""),
+              std::string::npos);
+  }
+  Project reopened = Project::Open(dir).value();
+  EXPECT_DOUBLE_EQ(reopened.parameters().min_coverage, 0.25);
+  EXPECT_DOUBLE_EQ(reopened.parameters().allowed_violation_ratio, 0.05);
+  EXPECT_FALSE(std::filesystem::exists(bad_dir + "/project.json"));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(bad_dir);
+}
+
+// -- ProjectHost in process --------------------------------------------------
+
+/// Writes a zip/city/state CSV (two dependencies to discover) and returns
+/// its path.
+std::string WriteZipStateCsv(const std::string& tag) {
+  const std::string path =
+      ::testing::TempDir() + "/anmat_service_" + tag + ".csv";
+  std::ofstream out(path);
+  out << "zip,city,state\n90001,Los Angeles,CA\n90002,Los Angeles,CA\n"
+         "90003,Los Angeles,CA\n90004,New York,NY\n";
+  return path;
+}
+
+/// A fresh project at `dir`, hosted in this process.
+std::unique_ptr<ProjectHost> HostFreshProject(const std::string& dir) {
+  Project::Parameters parameters;
+  parameters.min_coverage = 0.5;
+  parameters.allowed_violation_ratio = 0.3;
+  return std::make_unique<ProjectHost>(
+      Project::Init(dir, "zips", parameters).value(), ProjectHost::Options{});
+}
+
+JsonValue DataParams(const std::string& csv) {
+  JsonValue params = JsonValue::Object();
+  params.Set("data", JsonValue::String(csv));
+  return params;
+}
+
+JsonValue IdParams(uint64_t id) {
+  JsonValue params = JsonValue::Object();
+  JsonValue ids = JsonValue::Array();
+  ids.push_back(JsonValue::Int(static_cast<int64_t>(id)));
+  params.Set("ids", std::move(ids));
+  return params;
+}
+
+TEST(ProjectHostTest, DiscoverRecordsRulesWithProvenance) {
+  const std::string dir = FreshDir("host-discover");
+  const std::string csv = WriteZipCsv("host-discover");
+  {
+    auto host = HostFreshProject(dir);
+    auto discovered = host->Dispatch("discover", DataParams(csv));
+    ASSERT_TRUE(discovered.ok()) << discovered.status();
+  }
+  // Every discovered rule is stored as `discovered`, its provenance the
+  // dataset the CSV was attached as (named after its stem).
+  Project project = Project::Open(dir).value();
+  ASSERT_FALSE(project.rules().empty());
+  for (const RuleRecord& r : project.rules().records()) {
+    EXPECT_EQ(r.status, RuleStatus::kDiscovered);
+    EXPECT_EQ(r.provenance.source, "anmat_service_host-discover");
+    EXPECT_GT(r.provenance.coverage, 0.0);
+  }
+  std::filesystem::remove_all(dir);
+  std::remove(csv.c_str());
+}
+
+TEST(ProjectHostTest, RediscoveryAddsNoDuplicateAndKeepsConfirmation) {
+  const std::string dir = FreshDir("host-rediscover");
+  const std::string csv = WriteZipCsv("host-rediscover");
+  auto host = HostFreshProject(dir);
+  ASSERT_TRUE(host->Dispatch("discover", DataParams(csv)).ok());
+  ASSERT_TRUE(host->Dispatch("rules.confirm", IdParams(1)).ok());
+  const size_t stored = host->Dispatch("rules.list", JsonValue::Object())
+                            ->result.Get("rules")
+                            ->size();
+
+  ASSERT_TRUE(host->Dispatch("discover", JsonValue::Object()).ok());
+  host.reset();
+  Project project = Project::Open(dir).value();
+  EXPECT_EQ(project.rules().size(), stored);
+  EXPECT_EQ(project.rules().Find(1)->status, RuleStatus::kConfirmed);
+  std::filesystem::remove_all(dir);
+  std::remove(csv.c_str());
+}
+
+TEST(ProjectHostTest, ConfirmAllKeepsRejectionsExplicitIdOverrides) {
+  const std::string dir = FreshDir("host-confirm-all");
+  const std::string csv = WriteZipStateCsv("host-confirm-all");
+  auto host = HostFreshProject(dir);
+  ASSERT_TRUE(host->Dispatch("discover", DataParams(csv)).ok());
+  ASSERT_TRUE(host->Dispatch("rules.reject", IdParams(1)).ok());
+  JsonValue all = JsonValue::Object();
+  all.Set("all", JsonValue::Bool(true));
+  ASSERT_TRUE(host->Dispatch("rules.confirm", all).ok());
+  {
+    Project::OpenOptions read_only;
+    read_only.read_only = true;
+    Project project = Project::Open(dir, read_only).value();
+    ASSERT_GE(project.rules().size(), 2u);
+    for (const RuleRecord& r : project.rules().records()) {
+      EXPECT_EQ(r.status, r.id == 1 ? RuleStatus::kRejected
+                                    : RuleStatus::kConfirmed)
+          << "rule " << r.id;
+    }
+  }
+
+  ASSERT_TRUE(host->Dispatch("rules.confirm", IdParams(1)).ok());
+  host.reset();
+  Project project = Project::Open(dir).value();
+  EXPECT_EQ(project.rules().Find(1)->status, RuleStatus::kConfirmed);
+  std::filesystem::remove_all(dir);
+  std::remove(csv.c_str());
 }
 
 }  // namespace

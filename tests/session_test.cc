@@ -5,6 +5,7 @@
 #include "anmat/report.h"
 #include "csv/csv_writer.h"
 #include "datagen/datasets.h"
+#include "repair/repair.h"
 
 namespace anmat {
 namespace {
@@ -85,6 +86,69 @@ TEST(SessionTest, ReloadResetsState) {
   ASSERT_TRUE(session.LoadRelation(d.relation).ok());
   EXPECT_TRUE(session.discovered().empty());
   EXPECT_TRUE(session.confirmed().empty());
+}
+
+TEST(SessionTest, RepairRefreshesDetection) {
+  const Dataset d = PaperZipTable();
+  Session session("Zip");
+  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
+  session.SetMinCoverage(0.5);
+  session.SetAllowedViolationRatio(0.3);
+  ASSERT_TRUE(session.Discover().ok());
+  session.ConfirmAll();
+  ASSERT_TRUE(session.Detect().ok());
+  ASSERT_FALSE(session.detection().violations.empty());
+  ASSERT_TRUE(session.Repair().ok());
+  // detection() now describes the repaired relation, not the stale one.
+  EXPECT_TRUE(session.detection().violations.empty());
+  EXPECT_EQ(session.detection().violations.size(),
+            session.repair_result().remaining_violations);
+}
+
+TEST(SessionTest, RejectUnappliesEarlierConfirm) {
+  const Dataset d = ZipCityStateDataset(300, 78, 0.02);
+  Session session;
+  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
+  session.SetMinCoverage(0.4);
+  ASSERT_TRUE(session.Discover().ok());
+  ASSERT_FALSE(session.discovered().empty());
+
+  ASSERT_TRUE(session.Confirm(0).ok());
+  ASSERT_EQ(session.confirmed().size(), 1u);
+  ASSERT_TRUE(session.Reject(0).ok());  // changed their mind
+  EXPECT_TRUE(session.confirmed().empty());
+
+  // ConfirmAll keeps the rejection; only an explicit Confirm(0) overrides
+  // it.
+  session.ConfirmAll();
+  for (const Pfd& p : session.confirmed()) {
+    EXPECT_FALSE(p == session.discovered()[0].pfd);
+  }
+  ASSERT_TRUE(session.Confirm(0).ok());
+  session.ClearConfirmations();
+  EXPECT_TRUE(session.confirmed().empty());
+  EXPECT_FALSE(session.Detect().ok());  // nothing left to apply
+}
+
+TEST(SessionTest, SessionRepairMatchesEngineRepair) {
+  const Dataset d = ZipCityStateDataset(400, 77, 0.05);
+  Session session("zips");
+  ASSERT_TRUE(session.LoadRelation(d.relation).ok());
+  session.SetMinCoverage(0.4);
+  ASSERT_TRUE(session.Discover().ok());
+  session.ConfirmAll();
+  ASSERT_TRUE(session.Repair().ok());
+
+  Relation reference = d.relation;
+  RepairResult expected =
+      RepairErrors(&reference, session.confirmed()).value();
+  EXPECT_EQ(session.repair_result().repairs.size(), expected.repairs.size());
+  for (RowId r = 0; r < reference.num_rows(); ++r) {
+    for (size_t c = 0; c < reference.num_columns(); ++c) {
+      ASSERT_EQ(session.relation().cell(r, c), reference.cell(r, c))
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST(ReportTest, ProfilingViewShowsPatternPositionFrequency) {

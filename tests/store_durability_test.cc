@@ -342,7 +342,8 @@ TEST(FileLockTest, SameProcessAcquiresShareOneLock) {
   const std::string path = dir + "/.anmat.lock";
   FileLock first = FileLock::Acquire(path).value();
   // A second same-process acquire must not deadlock against our own
-  // flock — it shares it (two Sessions on one project dir do this).
+  // flock — it shares it (local `anmat project fsck` holds the lock for
+  // recovery, then opens the project, which acquires it again).
   FileLock second = FileLock::Acquire(path).value();
   EXPECT_TRUE(first.held());
   EXPECT_TRUE(second.held());

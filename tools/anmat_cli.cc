@@ -107,6 +107,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -118,7 +119,6 @@
 #include "anmat/engine.h"
 #include "anmat/project.h"
 #include "anmat/report.h"
-#include "anmat/session.h"
 #include "csv/csv_writer.h"
 #include "pfd/implication.h"
 #include "repair/repair.h"
@@ -355,23 +355,23 @@ class ProjectChannel {
   std::optional<anmat::DaemonClient> client_;
 };
 
-/// Params every project verb shares.
-anmat::JsonValue ProjectParams(const ParsedArgs& args) {
-  anmat::JsonValue params = anmat::JsonValue::Object();
-  params.Set("project", anmat::JsonValue::String(args.Get("project")));
-  if (args.Has("data")) {
-    params.Set("data", anmat::JsonValue::String(args.Get("data")));
-  }
-  return params;
-}
-
-/// A file path for the host to read or write. The daemon resolves paths
-/// against its own cwd, so --connect sends an absolute one; in-process the
-/// path stays as typed (the output echoes it).
+/// A path for the host (the project directory, a CSV to read or write).
+/// The daemon resolves paths against its own cwd, so --connect sends an
+/// absolute one; in-process the path stays as typed (the output echoes it).
 anmat::JsonValue PathParam(const ParsedArgs& args, const std::string& key) {
   return anmat::JsonValue::String(
       args.Has("connect") ? std::filesystem::absolute(args.Get(key)).string()
                           : args.Get(key));
+}
+
+/// Params every project verb shares.
+anmat::JsonValue ProjectParams(const ParsedArgs& args) {
+  anmat::JsonValue params = anmat::JsonValue::Object();
+  params.Set("project", PathParam(args, "project"));
+  if (args.Has("data")) {
+    params.Set("data", anmat::JsonValue::String(args.Get("data")));
+  }
+  return params;
 }
 
 /// Runs one project verb and prints its output. Failures exit 2, except
@@ -455,6 +455,11 @@ anmat::Result<anmat::ServiceResponse> DaemonCall(const ParsedArgs& args,
 
 int CmdInit(const ParsedArgs& args) {
   if (args.positional.size() != 1) return Usage();
+  anmat::Project::Parameters parameters;
+  parameters.min_coverage =
+      FlagDouble(args, "coverage", parameters.min_coverage);
+  parameters.allowed_violation_ratio =
+      FlagDouble(args, "violations", parameters.allowed_violation_ratio);
   if (args.Has("connect")) {
     anmat::JsonValue params = anmat::JsonValue::Object();
     // The daemon resolves paths against its own cwd; send an absolute one.
@@ -464,14 +469,9 @@ int CmdInit(const ParsedArgs& args) {
     if (args.Has("name")) {
       params.Set("name", anmat::JsonValue::String(args.Get("name")));
     }
-    if (args.Has("coverage")) {
-      params.Set("coverage", anmat::JsonValue::Number(
-                                 FlagDouble(args, "coverage", 0)));
-    }
-    if (args.Has("violations")) {
-      params.Set("violations", anmat::JsonValue::Number(
-                                   FlagDouble(args, "violations", 0)));
-    }
+    params.Set("coverage", anmat::JsonValue::Number(parameters.min_coverage));
+    params.Set("violations",
+               anmat::JsonValue::Number(parameters.allowed_violation_ratio));
     auto response = DaemonCall(args, "project.init", std::move(params));
     if (!response.ok()) return Fail(response.status());
     if (!response->ok) return Fail(response->error);
@@ -482,15 +482,9 @@ int CmdInit(const ParsedArgs& args) {
     return 0;
   }
   auto project = anmat::Project::Init(
-      args.positional[0], args.Has("name") ? args.Get("name") : "");
+      args.positional[0], args.Has("name") ? args.Get("name") : "",
+      parameters);
   if (!project.ok()) return Fail(project.status());
-  anmat::Project::Parameters parameters = project->parameters();
-  parameters.min_coverage = FlagDouble(args, "coverage",
-                                       parameters.min_coverage);
-  parameters.allowed_violation_ratio =
-      FlagDouble(args, "violations", parameters.allowed_violation_ratio);
-  project->set_parameters(parameters);
-  if (anmat::Status s = project->Save(); !s.ok()) return Fail(s);
   std::cout << "initialized project \"" << project->name() << "\" in "
             << project->dir() << "\n";
   return 0;
@@ -521,22 +515,23 @@ int CmdProfile(const ParsedArgs& args) {
 // ---------------------------------------------------------------------------
 
 int CmdDiscoverOneShot(const ParsedArgs& args) {
-  anmat::Session session(args.Has("table") ? args.Get("table") : "T");
-  session.SetNumThreads(FlagThreads(args));
-  if (anmat::Status s = session.LoadCsvFile(args.positional[0]); !s.ok()) {
-    return Fail(s);
-  }
-  session.SetMinCoverage(FlagDouble(args, "coverage", 0.4));
-  session.SetAllowedViolationRatio(FlagDouble(args, "violations", 0.1));
-  if (anmat::Status s = session.Discover(); !s.ok()) return Fail(s);
-  Print({anmat::DiscoveredPfdsToJson(session.discovered()),
-         anmat::RenderDiscoveredPfdsView(session.discovered())},
+  auto relation = anmat::ReadCsvFile(args.positional[0]);
+  if (!relation.ok()) return Fail(relation.status());
+  anmat::DiscoveryOptions options;
+  options.table_name = args.Has("table") ? args.Get("table") : "T";
+  options.min_coverage = FlagDouble(args, "coverage", 0.4);
+  options.allowed_violation_ratio = FlagDouble(args, "violations", 0.1);
+  anmat::Engine engine(
+      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
+  auto discovery = engine.Discover(relation.value(), options);
+  if (!discovery.ok()) return Fail(discovery.status());
+  const std::vector<anmat::DiscoveredPfd>& discovered = discovery->pfds;
+  Print({anmat::DiscoveredPfdsToJson(discovered),
+         anmat::RenderDiscoveredPfdsView(discovered)},
         FlagJson(args));
   if (args.Has("rules")) {
     std::vector<anmat::Pfd> rules;
-    for (const anmat::DiscoveredPfd& d : session.discovered()) {
-      rules.push_back(d.pfd);
-    }
+    for (const anmat::DiscoveredPfd& d : discovered) rules.push_back(d.pfd);
     if (args.Has("minimize") && args.Get("minimize") != "false") {
       anmat::MinimizeStats stats;
       rules = anmat::MinimizeRuleSet(rules, &stats);
@@ -849,42 +844,16 @@ std::string ParseStreamFlags(const ParsedArgs& args, StreamFlags* flags) {
   return "";
 }
 
-/// Prints one batch report: its line as text, or (under --format json)
-/// keeps its JSON for the summary's "batches" array.
-void PrintBatch(anmat::VerbResult batch, bool json,
-                anmat::JsonValue* batches) {
-  if (json) {
-    batches->push_back(std::move(batch.result));
-  } else {
-    std::cout << batch.text;
-  }
-}
-
-/// Prints a stream run's summary, its "batches" count replaced by the
-/// batch reports collected append by append.
-int PrintStreamSummary(anmat::VerbResult summary, anmat::JsonValue batches,
-                       bool json) {
-  summary.result.Set("batches", std::move(batches));
-  return Print(summary, json);
-}
-
-/// One-shot stream: feeds the CSV through a DetectionStream of this
-/// process's engine in batches.
-int RunStreamOneShot(const anmat::Relation& relation,
-                     const std::vector<anmat::Pfd>& rules,
-                     const ParsedArgs& args, const StreamFlags& flags) {
-  anmat::Engine engine(
-      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
-  auto stream = engine.OpenStream(relation.schema(), rules);
-  if (!stream.ok()) return Fail(stream.status());
-  if (flags.clean != "off") {
-    (*stream)->set_clean_on_ingest(true);
-    (*stream)->set_clean_variable_rules(flags.clean == "all");
-  }
-
-  const bool json = FlagJson(args);
+/// The batch loop both stream modes share: slices `relation` into --batch
+/// row batches, hands each to `append` and prints its report (its line as
+/// text, or under --format json into the summary's "batches" array), then
+/// prints the summary `close` returns.
+int FeedStream(
+    const anmat::Relation& relation, const StreamFlags& flags, bool json,
+    const std::function<anmat::Result<anmat::VerbResult>(
+        const anmat::Relation&)>& append,
+    const std::function<anmat::Result<anmat::VerbResult>()>& close) {
   anmat::JsonValue batches = anmat::JsonValue::Array();
-  size_t violations = 0;
   for (anmat::RowId begin = 0; begin < relation.num_rows();
        begin += static_cast<anmat::RowId>(flags.batch_rows)) {
     const anmat::RowId end = std::min<anmat::RowId>(
@@ -892,23 +861,52 @@ int RunStreamOneShot(const anmat::Relation& relation,
         static_cast<anmat::RowId>(relation.num_rows()));
     auto batch = relation.Slice(begin, end);
     if (!batch.ok()) return Fail(batch.status());
-    auto result = (*stream)->AppendBatch(batch.value());
-    if (!result.ok()) return Fail(result.status());
-    violations = result->violations.size();
-    PrintBatch(anmat::StreamBatchReport(**stream, end - begin, violations),
-               json, &batches);
-  }
-
-  const std::string out = args.Has("out") ? args.Get("out") : "";
-  if (!out.empty()) {
-    if (anmat::Status s = anmat::WriteCsvFile((*stream)->relation(), out);
-        !s.ok()) {
-      return Fail(s);
+    auto report = append(batch.value());
+    if (!report.ok()) return Fail(report.status());
+    if (json) {
+      batches.push_back(std::move(report->result));
+    } else {
+      std::cout << report->text;
     }
   }
-  return PrintStreamSummary(anmat::StreamCloseReport(**stream, flags.clean,
-                                                     violations, rules, out),
-                            std::move(batches), json);
+  auto summary = close();
+  if (!summary.ok()) return Fail(summary.status());
+  summary->result.Set("batches", std::move(batches));
+  return Print(summary.value(), json);
+}
+
+/// One-shot stream: feeds the CSV through a DetectionStream of this
+/// process's engine.
+int RunStreamOneShot(const anmat::Relation& relation,
+                     const std::vector<anmat::Pfd>& rules,
+                     const ParsedArgs& args, const StreamFlags& flags) {
+  anmat::Engine engine(
+      anmat::ExecutionOptions{FlagThreads(args), true, nullptr});
+  auto opened = engine.OpenStream(relation.schema(), rules);
+  if (!opened.ok()) return Fail(opened.status());
+  anmat::DetectionStream& stream = **opened;
+  if (flags.clean != "off") {
+    stream.set_clean_on_ingest(true);
+    stream.set_clean_variable_rules(flags.clean == "all");
+  }
+  size_t violations = 0;
+  return FeedStream(
+      relation, flags, FlagJson(args),
+      [&](const anmat::Relation& batch) -> anmat::Result<anmat::VerbResult> {
+        ANMAT_ASSIGN_OR_RETURN(anmat::DetectionResult result,
+                               stream.AppendBatch(batch));
+        violations = result.violations.size();
+        return anmat::StreamBatchReport(stream, batch.num_rows(),
+                                        violations);
+      },
+      [&]() -> anmat::Result<anmat::VerbResult> {
+        const std::string out = args.Has("out") ? args.Get("out") : "";
+        if (!out.empty()) {
+          ANMAT_RETURN_NOT_OK(anmat::WriteCsvFile(stream.relation(), out));
+        }
+        return anmat::StreamCloseReport(stream, flags.clean, violations,
+                                        rules, out);
+      });
 }
 
 /// Project stream, in-process or over --connect alike: resolve the dataset
@@ -938,36 +936,31 @@ int RunStreamProject(const ParsedArgs& args, const StreamFlags& flags) {
   auto stream_id = open->result.GetInt("stream");
   if (!stream_id.ok()) return Fail(stream_id.status());
 
-  const bool json = FlagJson(args);
-  anmat::JsonValue batches = anmat::JsonValue::Array();
-  for (anmat::RowId begin = 0; begin < relation->num_rows();
-       begin += static_cast<anmat::RowId>(flags.batch_rows)) {
-    const anmat::RowId end = std::min<anmat::RowId>(
-        begin + static_cast<anmat::RowId>(flags.batch_rows),
-        static_cast<anmat::RowId>(relation->num_rows()));
-    anmat::JsonValue rows = anmat::JsonValue::Array();
-    for (anmat::RowId r = begin; r < end; ++r) {
-      anmat::JsonValue row = anmat::JsonValue::Array();
-      for (const std::string& cell : relation->Row(r)) {
-        row.push_back(anmat::JsonValue::String(cell));
-      }
-      rows.push_back(std::move(row));
-    }
+  const auto stream_params = [&] {
     anmat::JsonValue params = ProjectParams(args);
     params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
-    params.Set("rows", std::move(rows));
-    auto appended = channel->Run("stream.append", std::move(params));
-    if (!appended.ok()) return Fail(appended.status());
-    PrintBatch(std::move(appended).value(), json, &batches);
-  }
-
-  anmat::JsonValue close_params = ProjectParams(args);
-  close_params.Set("stream", anmat::JsonValue::Int(stream_id.value()));
-  if (args.Has("out")) close_params.Set("out", PathParam(args, "out"));
-  auto closed = channel->Run("stream.close", std::move(close_params));
-  if (!closed.ok()) return Fail(closed.status());
-  return PrintStreamSummary(std::move(closed).value(), std::move(batches),
-                            json);
+    return params;
+  };
+  return FeedStream(
+      relation.value(), flags, FlagJson(args),
+      [&](const anmat::Relation& batch) {
+        anmat::JsonValue rows = anmat::JsonValue::Array();
+        for (anmat::RowId r = 0; r < batch.num_rows(); ++r) {
+          anmat::JsonValue row = anmat::JsonValue::Array();
+          for (const std::string& cell : batch.Row(r)) {
+            row.push_back(anmat::JsonValue::String(cell));
+          }
+          rows.push_back(std::move(row));
+        }
+        anmat::JsonValue params = stream_params();
+        params.Set("rows", std::move(rows));
+        return channel->Run("stream.append", std::move(params));
+      },
+      [&] {
+        anmat::JsonValue params = stream_params();
+        if (args.Has("out")) params.Set("out", PathParam(args, "out"));
+        return channel->Run("stream.close", std::move(params));
+      });
 }
 
 int CmdStream(const ParsedArgs& args) {

@@ -452,6 +452,22 @@ cache = d["project_stats"][0]["automaton_cache"]
 assert cache["hits"] > 0, cache' \
   || fail "daemon stats should show automaton cache hits"
 
+# project.init over --connect persists --coverage/--violations exactly as
+# the direct init does.
+"$ANMAT" init pc_direct --name pc --coverage 0.25 --violations 0.05 \
+  >/dev/null || fail "direct init with parameters"
+"$ANMAT" init pc_conn --name pc --coverage 0.25 --violations 0.05 \
+  --connect "$SOCK" >/dev/null || fail "init over --connect"
+diff pc_direct/project.json pc_conn/project.json \
+  || fail "init over --connect must persist the given parameters"
+
+# A relative --project names a directory under the caller's cwd, not the
+# daemon's.
+mkdir elsewhere
+"$ANMAT" init elsewhere/pd >/dev/null || fail "init for relative --project"
+(cd elsewhere && "$ANMAT" rules list --project pd --connect "$SOCK") \
+  >/dev/null || fail "relative --project over --connect"
+
 # Graceful shutdown: the verb drains, Serve returns, the process exits,
 # the socket is unlinked, and the project flock is released — the next
 # direct command (a save included) just works.
